@@ -55,9 +55,27 @@ GenericData makeGenericData(const std::vector<ir::Param>& params, int64_t n,
   return data;
 }
 
-DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
-                                   const ir::Function& candidate, int64_t n,
-                                   uint64_t seed) {
+namespace {
+
+/// Whether makeGenericData lays out identical operands for both parameter
+/// lists (it reads only the name, kind and written flag of each).
+bool sameOperands(const std::vector<ir::Param>& a,
+                  const std::vector<ir::Param>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i)
+    if (a[i].name != b[i].name || a[i].kind != b[i].kind ||
+        a[i].vecWritten != b[i].vecWritten)
+      return false;
+  return true;
+}
+
+}  // namespace
+
+DiffReference buildDiffReference(const std::string& hilSource, int64_t n,
+                                 uint64_t seed) {
+  DiffReference ref;
+  ref.n = n;
+  ref.seed = seed;
   CompileOptions plain;
   plain.runRepeatable = false;
   plain.runRegalloc = false;
@@ -66,23 +84,43 @@ DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
   plain.tuning.unroll = 1;
   plain.tuning.optimizeLoopControl = false;
   auto reference = compileKernel(hilSource, plain, arch::p4e());
-  if (!reference.ok)
-    return {false, "reference lowering failed: " + reference.error};
+  if (!reference.ok) {
+    ref.error = "reference lowering failed: " + reference.error;
+    return ref;
+  }
 
   // A stride-k kernel touches k*n elements: size the operands accordingly.
-  int64_t strideElems = 1;
   auto rep = analyzeKernel(hilSource, arch::p4e());
   if (rep.ok)
     for (const auto& a : rep.arrays)
-      strideElems = std::max(strideElems, a.strideElems);
+      ref.strideElems = std::max(ref.strideElems, a.strideElems);
+  ref.hasAccumulators = rep.ok && rep.numAccumulators > 0;
+  ref.elem = rep.ok ? rep.elemType : ir::Scal::F64;
+  ref.retType = reference.fn.retType;
+  ref.params = reference.fn.params;
 
-  GenericData refData = makeGenericData(reference.fn, n, seed, 0.75, strideElems);
-  GenericData candData = makeGenericData(candidate, n, seed, 0.75, strideElems);
-
-  sim::RunResult refRun, candRun;
+  ref.pristine = makeGenericData(reference.fn, n, seed, 0.75, ref.strideElems);
+  ref.output = ref.pristine.clone();
   try {
-    sim::Interp refI(reference.fn, *refData.mem);
-    refRun = refI.run(refData.args);
+    sim::Interp refI(reference.fn, *ref.output.mem);
+    ref.run = refI.run(ref.output.args);
+  } catch (const std::exception& e) {
+    ref.error = std::string("kernel faulted: ") + e.what();
+  }
+  return ref;
+}
+
+DiffOutcome checkAgainstReference(const DiffReference& ref,
+                                  const ir::Function& candidate) {
+  if (!ref.error.empty()) return {false, ref.error};
+  GenericData candData =
+      sameOperands(ref.params, candidate.params)
+          ? ref.pristine.clone()
+          : makeGenericData(candidate, ref.n, ref.seed, 0.75, ref.strideElems);
+  const GenericData& refData = ref.output;
+
+  sim::RunResult candRun;
+  try {
     sim::Interp candI(candidate, *candData.mem);
     candRun = candI.run(candData.args);
   } catch (const std::exception& e) {
@@ -93,8 +131,6 @@ DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
   // transforms never change elementwise arithmetic); when the kernel has
   // accumulators, stored values may derive from reassociated reductions
   // (e.g. gemv's y[r]), so those compare with a precision tolerance.
-  const bool hasAccumulators = rep.ok && rep.numAccumulators > 0;
-  const ir::Scal elem = rep.ok ? rep.elemType : ir::Scal::F64;
   for (const auto& span : candData.arrays) {
     if (!span.written) continue;
     const GenericData::Span* refSpan = nullptr;
@@ -102,7 +138,7 @@ DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
       if (s.name == span.name) refSpan = &s;
     if (refSpan == nullptr)
       return {false, "candidate writes unknown array '" + span.name + "'"};
-    if (!hasAccumulators) {
+    if (!ref.hasAccumulators) {
       for (size_t off = 0; off < span.bytes; ++off) {
         uint8_t a = candData.mem->read<uint8_t>(span.addr + off);
         uint8_t b = refData.mem->read<uint8_t>(refSpan->addr + off);
@@ -114,13 +150,13 @@ DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
       }
       continue;
     }
-    const size_t esize = scalBytes(elem);
-    const double tol = elem == ir::Scal::F32 ? 5e-3 : 1e-8;
+    const size_t esize = scalBytes(ref.elem);
+    const double tol = ref.elem == ir::Scal::F32 ? 5e-3 : 1e-8;
     for (size_t off = 0; off + esize <= span.bytes; off += esize) {
-      double a = elem == ir::Scal::F32
+      double a = ref.elem == ir::Scal::F32
                      ? candData.mem->read<float>(span.addr + off)
                      : candData.mem->read<double>(span.addr + off);
-      double b = elem == ir::Scal::F32
+      double b = ref.elem == ir::Scal::F32
                      ? refData.mem->read<float>(refSpan->addr + off)
                      : refData.mem->read<double>(refSpan->addr + off);
       if (std::fabs(a - b) > tol * std::max(1.0, std::fabs(b))) {
@@ -133,6 +169,7 @@ DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
   }
 
   // Results.
+  const sim::RunResult& refRun = ref.run;
   if (refRun.intResult.has_value() != candRun.intResult.has_value() ||
       refRun.fpResult.has_value() != candRun.fpResult.has_value())
     return {false, "result kind mismatch"};
@@ -144,7 +181,7 @@ DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
   }
   if (refRun.fpResult) {
     double want = *refRun.fpResult, got = *candRun.fpResult;
-    double tol = reference.fn.retType == ir::RetType::F32 ? 5e-3 : 1e-8;
+    double tol = ref.retType == ir::RetType::F32 ? 5e-3 : 1e-8;
     if (std::fabs(got - want) > tol * std::max(1.0, std::fabs(want))) {
       std::ostringstream os;
       os << "result " << got << ", expected " << want;
@@ -152,6 +189,13 @@ DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
     }
   }
   return {};
+}
+
+DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
+                                   const ir::Function& candidate, int64_t n,
+                                   uint64_t seed) {
+  return checkAgainstReference(buildDiffReference(hilSource, n, seed),
+                               candidate);
 }
 
 namespace {

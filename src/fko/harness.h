@@ -70,9 +70,38 @@ struct DiffOutcome {
   std::string message;
 };
 
-/// Runs `candidate` and the unoptimized lowering of `hilSource` on
-/// identical operands of length `n`; compares written arrays bitwise and
-/// scalar/index results (reductions with tolerance).
+/// The unoptimized side of a differential test at one length: the plain
+/// lowering's operands before and after its run, plus what the comparison
+/// needs from the analysis.  It never changes with the candidate, so it is
+/// built once per kernel and checked against every candidate; its images
+/// are only read after construction, so threads may share one reference.
+struct DiffReference {
+  /// Nonempty when the reference itself failed (lowering or run); every
+  /// check then fails with this message.
+  std::string error;
+  int64_t n = 0;
+  uint64_t seed = 42;
+  int64_t strideElems = 1;
+  bool hasAccumulators = false;
+  ir::Scal elem = ir::Scal::F64;
+  ir::RetType retType = ir::RetType::None;
+  std::vector<ir::Param> params;  ///< the reference's operand layout
+  GenericData pristine;           ///< operands before any run
+  GenericData output;             ///< operands after the reference run
+  sim::RunResult run;
+};
+
+/// Lowers `hilSource` without optimization and runs it on operands of
+/// length `n` (makeGenericData with `seed`).
+[[nodiscard]] DiffReference buildDiffReference(const std::string& hilSource,
+                                               int64_t n, uint64_t seed = 42);
+
+/// Runs `candidate` on the reference's operands; compares written arrays
+/// bitwise and scalar/index results (reductions with tolerance).
+[[nodiscard]] DiffOutcome checkAgainstReference(const DiffReference& ref,
+                                                const ir::Function& candidate);
+
+/// buildDiffReference + checkAgainstReference, for a one-off check.
 [[nodiscard]] DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
                                                  const ir::Function& candidate,
                                                  int64_t n, uint64_t seed = 42);

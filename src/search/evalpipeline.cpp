@@ -80,8 +80,7 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::compile(
   if (basis.base != nullptr) {
     // Derive from the compiled sibling: copy, then shift every Pref
     // displacement by the per-array distance delta.  The decoder re-runs
-    // (displacements are baked into the decoded instructions); the tester
-    // verdict carries over — prefetch hints cannot change results.
+    // (displacements are baked into the decoded instructions).
     auto out = std::make_shared<CompiledCandidate>();
     out->compiled = basis.base->compiled;
     for (auto& bb : out->compiled.fn.blocks) {
@@ -99,7 +98,6 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::compile(
     }
     if (config_.predecode)
       out->decoded = sim::decodeFunction(out->compiled.fn, machine_);
-    out->testerVerdict = basis.base->testerVerdict;
     cand = std::move(out);
     patched = true;
   } else {
@@ -109,10 +107,14 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::compile(
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = memo_.emplace(key, cand);
   if (!inserted) return it->second;  // lost a benign race; results identical
-  if (patched)
+  if (patched) {
     ++stats_.prefixPatches;
-  else
+    // The tester verdict carries over (read under the lock that guards
+    // it): prefetch hints cannot change results.
+    cand->testerVerdict = basis.base->testerVerdict;
+  } else {
     ++stats_.fullCompiles;
+  }
   // Only a from-scratch success seeds the prefix memo: a patched artifact
   // would work too (identical bytes), but failures must never be a basis.
   if (!patched && tryPrefix && cand->compiled.ok)
@@ -130,13 +132,22 @@ bool EvalPipeline::testerPasses(
   const bool pass =
       spec_ != nullptr
           ? kernels::testKernel(*spec_, cand->compiled.fn, config_.testerN).ok
-          : fko::testAgainstUnoptimized(source_, cand->compiled.fn,
-                                        config_.testerN)
+          : fko::checkAgainstReference(testerReference(), cand->compiled.fn)
                 .ok;
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.testerRuns;
   cand->testerVerdict = pass ? 1 : 0;
   return pass;
+}
+
+const fko::DiffReference& EvalPipeline::testerReference() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (diffRef_ == nullptr) {
+    diffRef_ = std::make_unique<fko::DiffReference>(
+        fko::buildDiffReference(source_, config_.testerN));
+    ++stats_.referenceBuilds;
+  }
+  return *diffRef_;
 }
 
 EvalPipeline::Stats EvalPipeline::stats() const {

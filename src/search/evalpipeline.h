@@ -125,8 +125,15 @@ class EvalPipeline {
 
   /// Memoized differential/reference tester verdict for a compiled
   /// candidate (keyed by the candidate object; runs at config.testerN).
+  /// Without a KernelSpec, every candidate is checked against one
+  /// unoptimized reference run, built on first use and shared.
   [[nodiscard]] bool testerPasses(
       const std::shared_ptr<const CompiledCandidate>& cand);
+
+  /// The differential tester's unoptimized reference at config.testerN
+  /// (what testerPasses checks spec-less candidates against), built once
+  /// under the pipeline lock and immutable afterwards.
+  [[nodiscard]] const fko::DiffReference& testerReference();
 
   /// Pristine timing operands for (spec, config.n, config.seed), generated
   /// once and cloned per run (config.reuseKernelData; null when off or when
@@ -140,6 +147,7 @@ class EvalPipeline {
     uint64_t prefixPatches = 0;  ///< candidates derived by Pref patching
     uint64_t memoHits = 0;       ///< compile-memo hits
     uint64_t testerRuns = 0;     ///< non-memoized tester executions
+    uint64_t referenceBuilds = 0;  ///< differential references built (0/1)
   };
   [[nodiscard]] Stats stats() const;
 
@@ -166,6 +174,7 @@ class EvalPipeline {
   std::unordered_map<std::string, PrefixEntry> prefix_;
   std::unique_ptr<kernels::KernelData> dataTmpl_;  ///< built once under mu_
   std::unique_ptr<fko::GenericData> genTmpl_;      ///< built once under mu_
+  std::unique_ptr<fko::DiffReference> diffRef_;    ///< built once under mu_
   Stats stats_;
 };
 

@@ -59,11 +59,12 @@ class ThreadPool {
           } catch (...) {
             error = std::current_exception();
           }
-          {
-            std::lock_guard<std::mutex> dl(doneMu);
-            ++done;
-            if (error != nullptr && firstError == nullptr) firstError = error;
-          }
+          // Notify under the lock: once the caller sees done == count it
+          // returns and destroys doneCv, so no task may touch it after
+          // releasing doneMu.
+          std::lock_guard<std::mutex> dl(doneMu);
+          ++done;
+          if (error != nullptr && firstError == nullptr) firstError = error;
           doneCv.notify_one();
         });
     }

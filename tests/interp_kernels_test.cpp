@@ -4,6 +4,11 @@
 // must also survive later).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <thread>
+#include <vector>
+
 #include "hil/lower.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
@@ -59,6 +64,112 @@ TEST(Interp, MemoryAllocateAligns) {
   EXPECT_EQ(a % 64, 0u);
   uint64_t b = mem.allocate(10, 64);
   EXPECT_GE(b, a + 10);
+}
+
+// The image stores only its written prefix; everything else must behave
+// exactly as a fully materialized, zero-initialized image of the logical
+// size.
+
+std::string outOfBoundsMessage(const std::function<void()>& access) {
+  try {
+    access();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
+TEST(LazyMemory, UnwrittenInBoundsReadsAreZero) {
+  const sim::Memory mem(1 << 20);
+  EXPECT_EQ(mem.read<double>(64), 0.0);
+  EXPECT_EQ(mem.read<uint64_t>(4096), 0u);
+  EXPECT_EQ(mem.read<uint8_t>((1 << 20) - 1), 0u);
+  uint8_t buf[32];
+  std::memset(buf, 0xAB, sizeof buf);
+  mem.readBytes((1 << 20) - 32, buf, sizeof buf);
+  for (uint8_t b : buf) EXPECT_EQ(b, 0u);
+  EXPECT_EQ(mem.storedBytes(), 0u);  // reads never materialize anything
+}
+
+TEST(LazyMemory, WritePastPrefixGrowsIt) {
+  sim::Memory mem(1 << 20);
+  mem.write<double>(1000, 1.5);
+  EXPECT_EQ(mem.storedBytes(), 1008u);
+  mem.write<double>(200, 2.5);  // inside the prefix: no growth
+  EXPECT_EQ(mem.storedBytes(), 1008u);
+  mem.write<uint32_t>(5000, 0xDEADBEEFu);
+  EXPECT_EQ(mem.storedBytes(), 5004u);
+  EXPECT_EQ(mem.read<double>(1000), 1.5);
+  EXPECT_EQ(mem.read<double>(200), 2.5);
+  EXPECT_EQ(mem.read<uint32_t>(5000), 0xDEADBEEFu);
+  // The gap the growth skipped over reads as zero.
+  for (uint64_t a = 1008; a < 5000; ++a) ASSERT_EQ(mem.read<uint8_t>(a), 0u);
+  // A read straddling the end of the prefix: held bytes, then zeros.
+  mem.write<uint8_t>(6000, 0x7F);
+  uint8_t buf[8];
+  mem.readBytes(5998, buf, sizeof buf);
+  const uint8_t want[8] = {0, 0, 0x7F, 0, 0, 0, 0, 0};
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(buf[i], want[i]) << i;
+  EXPECT_EQ(mem.storedBytes(), 6001u);
+}
+
+TEST(LazyMemory, BoundsErrorsUseTheLogicalSize) {
+  sim::Memory mem(4096);
+  mem.write<double>(512, 1.0);  // a short stored prefix must not matter
+  EXPECT_EQ(outOfBoundsMessage([&] { (void)mem.read<double>(4090); }),
+            "simulated memory access out of bounds at 4090");
+  EXPECT_EQ(outOfBoundsMessage([&] { mem.write<double>(4090, 1.0); }),
+            "simulated memory access out of bounds at 4090");
+  EXPECT_EQ(outOfBoundsMessage([&] { (void)mem.read<double>(8); }),
+            "simulated memory access out of bounds at 8");
+  // The last in-bounds bytes are readable and writable.
+  EXPECT_EQ(mem.read<double>(4088), 0.0);
+  mem.write<double>(4088, 3.0);
+  EXPECT_EQ(mem.read<double>(4088), 3.0);
+  EXPECT_EQ(mem.size(), 4096u);
+  EXPECT_THROW((void)mem.allocate(8192), std::out_of_range);
+}
+
+TEST(LazyMemory, CopyIsByteEqualOverTheLogicalRange) {
+  sim::Memory mem(1 << 16);
+  const uint64_t a = mem.allocate(4096);
+  for (uint64_t i = 0; i < 4096; i += 8) mem.write<double>(a + i, 0.5 * i);
+  mem.write<uint8_t>(20000, 9);
+  const sim::Memory copy(mem);
+  EXPECT_EQ(copy.size(), mem.size());
+  EXPECT_EQ(copy.storedBytes(), mem.storedBytes());
+  for (uint64_t addr = 64; addr < mem.size(); ++addr)
+    ASSERT_EQ(copy.read<uint8_t>(addr), mem.read<uint8_t>(addr)) << addr;
+  // The copy allocates from where the original left off, and is
+  // independent of it.
+  sim::Memory copy2(mem);
+  EXPECT_EQ(copy2.allocate(64), mem.allocate(64));
+  copy2.write<double>(a, -1.0);
+  EXPECT_EQ(mem.read<double>(a), 0.0);
+}
+
+TEST(LazyMemory, ConcurrentConstReadersSeeOneImage) {
+  sim::Memory mem(1 << 20);
+  for (uint64_t i = 0; i < 8192; i += 8)
+    mem.write<uint64_t>(64 + i, i * 2654435761u);
+  const sim::Memory& shared = mem;
+  const size_t stored = shared.storedBytes();
+  std::vector<uint64_t> sums(8, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&shared, &sums, t] {
+      uint64_t sum = 0;
+      // Read through the prefix and well past it.
+      for (uint64_t a = 64; a + 8 <= 64 + 65536; a += 8)
+        sum += shared.read<uint64_t>(a);
+      sums[static_cast<size_t>(t)] = sum;
+    });
+  }
+  for (auto& r : readers) r.join();
+  uint64_t want = 0;
+  for (uint64_t i = 0; i < 8192; i += 8) want += i * 2654435761u;
+  for (uint64_t s : sums) EXPECT_EQ(s, want);
+  EXPECT_EQ(shared.storedBytes(), stored);
 }
 
 TEST(Interp, DynInstBudgetStopsRunawayLoop) {
