@@ -44,11 +44,14 @@ TEST(Level2, GerBroadcastsTheInvariantScalar) {
   EXPECT_GE(info.invariantFpInputs.size(), 1u);
 }
 
+// gtest names each case by printing the parameter's raw bytes, so the
+// struct has no padding: bool fields would leave stack garbage in the
+// names and make them differ from run to run.
 struct L2Case {
-  bool sv;
+  int sv;
   int ur;
   int ae;
-  bool pf;
+  int pf;
 };
 
 class GemvGrid : public testing::TestWithParam<L2Case> {};
