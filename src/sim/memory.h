@@ -82,9 +82,16 @@ class Memory {
 
  private:
   void check(uint64_t addr, size_t n) const {
-    if (addr < 64 || addr + n > size_)
-      throw std::out_of_range("simulated memory access out of bounds at " +
-                              std::to_string(addr));
+    // `addr + n` could wrap (an effective address of -8 is 2^64 - 8), so
+    // the end is compared by subtraction instead.
+    if (addr < 64 || n > size_ || addr > size_ - n) outOfBounds(addr);
+  }
+
+  /// Kept out of line so the access paths stay small enough to inline.
+  [[noreturn, gnu::cold, gnu::noinline]] static void outOfBounds(
+      uint64_t addr) {
+    throw std::out_of_range("simulated memory access out of bounds at " +
+                            std::to_string(addr));
   }
 
   void readPastPrefix(uint64_t addr, uint8_t* out, size_t n) const {

@@ -14,6 +14,7 @@
 #include "ir/verifier.h"
 #include "kernels/registry.h"
 #include "kernels/tester.h"
+#include "sim/decode.h"
 #include "sim/interp.h"
 
 namespace ifko {
@@ -128,6 +129,50 @@ TEST(LazyMemory, BoundsErrorsUseTheLogicalSize) {
   EXPECT_EQ(mem.read<double>(4088), 3.0);
   EXPECT_EQ(mem.size(), 4096u);
   EXPECT_THROW((void)mem.allocate(8192), std::out_of_range);
+}
+
+TEST(LazyMemory, AccessesThatWrapAroundAreOutOfBounds) {
+  // 2^64 - 8 + 16 wraps to 8; a sum-based check would let both through.
+  sim::Memory mem(4096);
+  const uint64_t wrapped = ~uint64_t{0} - 7;
+  uint8_t buf[16] = {};
+  EXPECT_EQ(outOfBoundsMessage([&] { mem.readBytes(wrapped, buf, 16); }),
+            "simulated memory access out of bounds at " +
+                std::to_string(wrapped));
+  EXPECT_EQ(outOfBoundsMessage([&] { mem.writeBytes(wrapped, buf, 16); }),
+            "simulated memory access out of bounds at " +
+                std::to_string(wrapped));
+  EXPECT_THROW(mem.readBytes(64, buf, ~size_t{0}), std::out_of_range);
+  EXPECT_EQ(mem.storedBytes(), 0u);
+}
+
+TEST(LazyMemory, NegativeEffectiveAddressIsOutOfBoundsWhenDecoded) {
+  // X[-1] with X = 0: a 16-byte vector load and store at 2^64 - 8.
+  ir::Function fn;
+  fn.name = "negaddr";
+  const ir::Reg x = fn.newIntReg();
+  fn.params.push_back({.name = "X", .kind = ir::ParamKind::PtrF64, .reg = x});
+  ir::Builder b(fn, fn.addBlock());
+  const ir::Reg v = b.vld(ir::Scal::F64, ir::mem(x, -8));
+  b.vst(ir::Scal::F64, ir::mem(x, -8), v);
+  b.ret();
+  const sim::DecodedFunction dfn = sim::decodeFunction(fn, arch::p4e());
+  sim::Memory mem(4096);
+  const std::vector<sim::ArgValue> args{int64_t{0}};
+  EXPECT_THROW((void)sim::runDecoded(dfn, mem, args), std::out_of_range);
+
+  // The store alone is caught as well.
+  ir::Function st;
+  st.name = "negstore";
+  const ir::Reg y = st.newIntReg();
+  st.params.push_back({.name = "Y", .kind = ir::ParamKind::PtrF64, .reg = y});
+  ir::Builder sb(st, st.addBlock());
+  sb.vst(ir::Scal::F64, ir::mem(y, -8), sb.vzero(ir::Scal::F64));
+  sb.ret();
+  EXPECT_THROW((void)sim::runDecoded(sim::decodeFunction(st, arch::p4e()), mem,
+                                     args),
+               std::out_of_range);
+  EXPECT_EQ(mem.storedBytes(), 0u);
 }
 
 TEST(LazyMemory, CopyIsByteEqualOverTheLogicalRange) {
