@@ -37,7 +37,8 @@ TEST(MemSystem, L1HitLatency) {
 }
 
 TEST(MemSystem, MissGoesToMemory) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   uint64_t t = mem.load(0x2000, 8, 0);
   EXPECT_GE(t, 100u);
   EXPECT_EQ(mem.stats().loadMissMem, 1u);
@@ -58,21 +59,24 @@ TEST(MemSystem, L2HitAfterL1Eviction) {
 }
 
 TEST(MemSystem, StoreMissDoesRFO) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   mem.store(0x3000, 8, 0);
   EXPECT_EQ(mem.stats().storeRFOs, 1u);
   EXPECT_GT(mem.stats().busBytes, 0u);
 }
 
 TEST(MemSystem, StoreHitAvoidsRFO) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   uint64_t t = mem.load(0x3000, 8, 0);
   mem.store(0x3000, 8, t);
   EXPECT_EQ(mem.stats().storeRFOs, 0u);
 }
 
 TEST(MemSystem, DirtyEvictionWritesBack) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   uint64_t now = mem.store(0x1000, 8, 0);
   now = std::max(now, mem.busFreeTime());
   // Evict 0x1000 from both L1 and L2.  L2: 16 sets * 4 ways, stride 0x400.
@@ -82,7 +86,8 @@ TEST(MemSystem, DirtyEvictionWritesBack) {
 }
 
 TEST(MemSystem, NtStoreBypassesCache) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   uint64_t now = 0;
   for (int i = 0; i < 8; ++i)
     now = mem.storeNT(0x5000 + 8u * static_cast<uint64_t>(i), 8, now);
@@ -95,7 +100,8 @@ TEST(MemSystem, NtStoreBypassesCache) {
 }
 
 TEST(MemSystem, NtStoreFullLineUsesOneBusTransfer) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   uint64_t bytesBefore = mem.stats().busBytes;
   uint64_t now = 0;
   for (int i = 0; i < 8; ++i)
@@ -121,7 +127,8 @@ TEST(MemSystem, NtStoreOnCachedLinePenalizedOnlyWhenConfigured) {
 }
 
 TEST(MemSystem, PrefetchHidesLatency) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   mem.prefetch(ir::PrefKind::NTA, 0x9000, 0);
   EXPECT_EQ(mem.stats().prefIssued, 1u);
   // Long after the fill completes, the load is an L1 hit.
@@ -130,7 +137,8 @@ TEST(MemSystem, PrefetchHidesLatency) {
 }
 
 TEST(MemSystem, PrefetchInFlightGivesPartialBenefit) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   mem.prefetch(ir::PrefKind::NTA, 0x9000, 0);
   // Load arrives halfway through the fill: waits only the remainder.
   uint64_t t = mem.load(0x9000, 8, 50);
@@ -149,7 +157,8 @@ TEST(MemSystem, PrefetchDroppedWhenBusBusy) {
 }
 
 TEST(MemSystem, PrefetchT1FillsOnlyL2) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   mem.prefetch(ir::PrefKind::T1, 0xA000, 0);
   // Later load misses L1 but hits L2.
   uint64_t before = mem.stats().loadMissMem;
@@ -159,7 +168,8 @@ TEST(MemSystem, PrefetchT1FillsOnlyL2) {
 }
 
 TEST(MemSystem, PrefetchDedupesResidentLines) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   uint64_t t = mem.load(0xB000, 8, 0);
   mem.prefetch(ir::PrefKind::T0, 0xB000, t);
   EXPECT_EQ(mem.stats().prefIssued, 0u);
@@ -167,7 +177,8 @@ TEST(MemSystem, PrefetchDedupesResidentLines) {
 }
 
 TEST(MemSystem, WarmMakesLoadsHit) {
-  MemSystem mem(tiny());
+  const MachineConfig m = tiny();
+  MemSystem mem(m);
   mem.warm(0xC000, 256);
   uint64_t t = mem.load(0xC0F8, 8, 0);
   EXPECT_EQ(t, 3u);
