@@ -13,7 +13,7 @@
 #include "arch/machine.h"
 #include "fko/compiler.h"
 #include "search/linesearch.h"
-#include "sim/interp.h"
+#include "sim/decode.h"
 #include "sim/memsys.h"
 #include "sim/timer.h"
 #include "sim/timing.h"
@@ -65,7 +65,6 @@ Run runOnce(const ifko::ir::Function& fn, const ifko::arch::MachineConfig& m,
 
   sim::MemSystem msys(m);
   sim::TimingModel timing(m, msys);
-  sim::Interp interp(fn, mem, &timing);
   std::vector<sim::ArgValue> args;
   for (const auto& p : fn.params) {
     if (p.isPointer())
@@ -75,7 +74,7 @@ Run runOnce(const ifko::ir::Function& fn, const ifko::arch::MachineConfig& m,
     else
       args.emplace_back(p.name == "alpha" ? alpha : beta);
   }
-  interp.run(args);
+  sim::runDecoded(sim::decodeFunction(fn, m), mem, args, &timing);
 
   out.correct = true;
   for (int64_t i = 0; i < n; ++i) {

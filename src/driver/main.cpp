@@ -25,8 +25,7 @@
 //             [--strategy=line|random|hillclimb|evolve|attribution|bandit]
 //             [--budget=N] [--budget-cycles=N] [--search-seed=S]
 //             [--eval-timeout-ms=N] [--eval-retries=N] [--quarantine=N]
-//             [--fault-plan=SPEC] [--screen-n=N] [--screen-margin=X]
-//             [--no-predecode]
+//             [--fault-plan=SPEC]
 //       The empirical search, with the per-dimension ledger.  --strategy
 //       picks the search policy (default: the paper's line search);
 //       --budget caps observed candidates, --budget-cycles caps simulated
@@ -42,10 +41,6 @@
 //       kernel after N hard failures (default 3, 0 = never), and
 //       --fault-plan injects deterministic faults for testing (grammar in
 //       docs/TUNING.md).
-//       Fast path: --screen-n times each new cohort at a reduced size first
-//       and confirms only the near-best at full --n (0 = off), with
-//       --screen-margin setting the survivor cutoff (default 1.25x);
-//       --no-predecode disables the pre-decoded execution form (debugging).
 //
 //   ifko tune-all <dir> [--arch=...] [--n=N] [--context=ooc|inl2] [--fast]
 //                 [--extensions] [--jobs=N] [--cache=FILE] [--trace=FILE]
@@ -181,9 +176,6 @@ struct Options {
   int64_t evalTimeoutMs = 0;  ///< per-candidate deadline; 0 = off
   int64_t evalRetries = 1;    ///< extra attempts after a hard failure
   int64_t quarantine = 3;     ///< hard failures before abandoning; 0 = never
-  int64_t screenN = 0;        ///< screen-then-confirm sample size; 0 = off
-  double screenMargin = 0;    ///< survivor margin; 0 = SearchConfig default
-  bool predecode = true;      ///< run candidates through sim/decode.h
   search::FaultPlan faultPlan;
   std::string wisdomPath;  ///< --wisdom: warm-start + write-back store
   // serve/query plumbing
@@ -335,20 +327,6 @@ Options parseOptions(int argc, char** argv, int first) {
       intFlag(*v, "--eval-retries", 0, &o.evalRetries);
     } else if (auto v = value("--quarantine=")) {
       intFlag(*v, "--quarantine", 0, &o.quarantine);
-    } else if (auto v = value("--screen-n=")) {
-      intFlag(*v, "--screen-n", 0, &o.screenN);
-    } else if (auto v = value("--screen-margin=")) {
-      char* end = nullptr;
-      double m = std::strtod(v->c_str(), &end);
-      if (end == v->c_str() || *end != '\0' || m < 1.0) {
-        std::fprintf(stderr, "bad --screen-margin (want number >= 1): '%s'\n",
-                     v->c_str());
-        o.ok = false;
-      } else {
-        o.screenMargin = m;
-      }
-    } else if (a == "--no-predecode") {
-      o.predecode = false;
     } else if (auto v = value("--fault-plan=")) {
       std::string perr;
       auto plan = search::FaultPlan::parse(*v, &perr);
@@ -385,9 +363,6 @@ search::SearchConfig searchConfig(const Options& o) {
   cfg.searchExtensions = o.extensions;
   cfg.evalTimeoutMs = o.evalTimeoutMs;
   cfg.maxEvalAttempts = static_cast<int>(o.evalRetries) + 1;
-  cfg.screenN = o.screenN;
-  if (o.screenMargin > 0) cfg.screenMargin = o.screenMargin;
-  cfg.predecode = o.predecode;
   return cfg;
 }
 

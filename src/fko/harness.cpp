@@ -102,8 +102,8 @@ DiffReference buildDiffReference(const std::string& hilSource, int64_t n,
   ref.pristine = makeGenericData(reference.fn, n, seed, 0.75, ref.strideElems);
   ref.output = ref.pristine.clone();
   try {
-    sim::Interp refI(reference.fn, *ref.output.mem);
-    ref.run = refI.run(ref.output.args);
+    ref.run = sim::runDecoded(sim::decodeFunction(reference.fn),
+                              *ref.output.mem, ref.output.args);
   } catch (const std::exception& e) {
     ref.error = std::string("kernel faulted: ") + e.what();
   }
@@ -112,17 +112,22 @@ DiffReference buildDiffReference(const std::string& hilSource, int64_t n,
 
 DiffOutcome checkAgainstReference(const DiffReference& ref,
                                   const ir::Function& candidate) {
+  return checkAgainstReference(ref, sim::decodeFunction(candidate));
+}
+
+DiffOutcome checkAgainstReference(const DiffReference& ref,
+                                  const sim::DecodedFunction& candidate) {
   if (!ref.error.empty()) return {false, ref.error};
-  GenericData candData =
-      sameOperands(ref.params, candidate.params)
-          ? ref.pristine.clone()
-          : makeGenericData(candidate, ref.n, ref.seed, 0.75, ref.strideElems);
+  GenericData candData = sameOperands(ref.params, candidate.params)
+                             ? ref.pristine.clone()
+                             : makeGenericData(candidate.params, ref.n,
+                                               ref.seed, 0.75,
+                                               ref.strideElems);
   const GenericData& refData = ref.output;
 
   sim::RunResult candRun;
   try {
-    sim::Interp candI(candidate, *candData.mem);
-    candRun = candI.run(candData.args);
+    candRun = sim::runDecoded(candidate, *candData.mem, candData.args);
   } catch (const std::exception& e) {
     return {false, std::string("kernel faulted: ") + e.what()};
   }
@@ -198,16 +203,21 @@ DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
                                candidate);
 }
 
-namespace {
+sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
+                             const ir::Function& fn, int64_t n,
+                             sim::TimeContext ctx, uint64_t seed,
+                             int64_t strideElems, int64_t loopN,
+                             const GenericData* tmpl) {
+  return timeCompiled(machine, sim::decodeFunction(fn, machine), n, ctx, seed,
+                      strideElems, loopN, tmpl);
+}
 
-// Shared operand setup + result assembly for the two timeCompiled overloads.
-template <typename RunFn>
-sim::TimeResult timeCompiledWith(const arch::MachineConfig& machine,
-                                 const std::vector<ir::Param>& params,
-                                 int64_t n, sim::TimeContext ctx,
-                                 uint64_t seed, int64_t strideElems,
-                                 int64_t loopN, const GenericData* tmpl,
-                                 RunFn&& execute) {
+sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
+                             const sim::DecodedFunction& dfn, int64_t n,
+                             sim::TimeContext ctx, uint64_t seed,
+                             int64_t strideElems, int64_t loopN,
+                             const GenericData* tmpl) {
+  const std::vector<ir::Param>& params = dfn.params;
   GenericData data = tmpl != nullptr
                          ? tmpl->clone()
                          : makeGenericData(params, n, seed, 0.75, strideElems);
@@ -228,7 +238,7 @@ sim::TimeResult timeCompiledWith(const arch::MachineConfig& machine,
     }
   }
   sim::TimingModel timing(machine, mem);
-  sim::RunResult run = execute(data, timing);
+  sim::RunResult run = sim::runDecoded(dfn, *data.mem, data.args, &timing);
 
   sim::TimeResult out;
   out.cycles = timing.cycles();
@@ -237,34 +247,6 @@ sim::TimeResult timeCompiledWith(const arch::MachineConfig& machine,
   out.core = timing.stats();
   out.attr = timing.attribution();
   return out;
-}
-
-}  // namespace
-
-sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
-                             const ir::Function& fn, int64_t n,
-                             sim::TimeContext ctx, uint64_t seed,
-                             int64_t strideElems, int64_t loopN,
-                             const GenericData* tmpl) {
-  return timeCompiledWith(machine, fn.params, n, ctx, seed, strideElems, loopN,
-                          tmpl,
-                          [&](GenericData& data, sim::TimingModel& timing) {
-                            sim::Interp interp(fn, *data.mem, &timing);
-                            return interp.run(data.args);
-                          });
-}
-
-sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
-                             const sim::DecodedFunction& dfn, int64_t n,
-                             sim::TimeContext ctx, uint64_t seed,
-                             int64_t strideElems, int64_t loopN,
-                             const GenericData* tmpl) {
-  return timeCompiledWith(machine, dfn.params, n, ctx, seed, strideElems,
-                          loopN, tmpl,
-                          [&](GenericData& data, sim::TimingModel& timing) {
-                            return sim::runDecoded(dfn, *data.mem, data.args,
-                                                   &timing);
-                          });
 }
 
 }  // namespace ifko::fko

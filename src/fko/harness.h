@@ -18,7 +18,6 @@
 #include "arch/machine.h"
 #include "ir/function.h"
 #include "sim/decode.h"
-#include "sim/interp.h"
 #include "sim/memsys.h"
 #include "sim/timer.h"
 
@@ -100,6 +99,9 @@ struct DiffReference {
 /// bitwise and scalar/index results (reductions with tolerance).
 [[nodiscard]] DiffOutcome checkAgainstReference(const DiffReference& ref,
                                                 const ir::Function& candidate);
+/// Same, on an already decoded candidate (its costs, if any, are unused).
+[[nodiscard]] DiffOutcome checkAgainstReference(
+    const DiffReference& ref, const sim::DecodedFunction& candidate);
 
 /// buildDiffReference + checkAgainstReference, for a one-off check.
 [[nodiscard]] DiffOutcome testAgainstUnoptimized(const std::string& hilSource,
@@ -107,10 +109,8 @@ struct DiffReference {
                                                  int64_t n, uint64_t seed = 42);
 
 /// Times any compiled kernel at length n (generic analogue of
-/// sim::timeKernel).  InL2 pre-warms every vector parameter.  `loopN`
-/// (0 = n) truncates the loop trip count while the operands stay sized at
-/// `n` — the screen-then-confirm prefix run (see sim/timer.h); `tmpl`
-/// clones a pristine operand image instead of regenerating the data.
+/// sim::timeKernel): decodes it for `machine`, then runs the
+/// DecodedFunction overload below.
 [[nodiscard]] sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
                                            const ir::Function& fn, int64_t n,
                                            sim::TimeContext ctx,
@@ -119,8 +119,10 @@ struct DiffReference {
                                            int64_t loopN = 0,
                                            const GenericData* tmpl = nullptr);
 
-/// Fast-path variant over the pre-decoded form (sim/decode.h); bit-identical
-/// results to the ir::Function overload for the same kernel.
+/// Times a function decoded for `machine` (sim/decode.h).  InL2 pre-warms
+/// every vector parameter.  `loopN` (0 = n) truncates the loop trip count
+/// while the operands stay sized at `n` (see sim/timer.h); `tmpl` clones a
+/// pristine operand image instead of regenerating the data.
 [[nodiscard]] sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
                                            const sim::DecodedFunction& dfn,
                                            int64_t n, sim::TimeContext ctx,

@@ -92,7 +92,7 @@ class Function {
   std::vector<BasicBlock> blocks;  ///< layout order
   LoopMark loop;
   /// True once register allocation has mapped virtual registers to physical
-  /// ones; the interpreter then provides the spill area via the reserved
+  /// ones; sim::runDecoded then provides the spill area via the reserved
   /// base register.
   bool regAllocated = false;
   int32_t numSpillSlots = 0;

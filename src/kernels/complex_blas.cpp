@@ -4,7 +4,7 @@
 #include <sstream>
 #include <vector>
 
-#include "sim/interp.h"
+#include "sim/decode.h"
 #include "sim/memsys.h"
 #include "support/rng.h"
 #include "support/str.h"
@@ -125,9 +125,8 @@ ComplexOutcome testCscalT(const ir::Function& fn, int64_t n, uint64_t seed) {
     want[static_cast<size_t>(2 * i)] = ar * re - ai * im;
     want[static_cast<size_t>(2 * i + 1)] = ar * im + ai * re;
   }
-  sim::Interp interp(fn, *d.mem);
   try {
-    interp.run(buildArgs(fn, d, n));
+    sim::runDecoded(sim::decodeFunction(fn), *d.mem, buildArgs(fn, d, n));
   } catch (const std::exception& e) {
     return {false, std::string("cscal faulted: ") + e.what()};
   }
@@ -147,9 +146,8 @@ ComplexOutcome testCaxpyT(const ir::Function& fn, int64_t n, uint64_t seed) {
     want[static_cast<size_t>(2 * i)] = yr + (ar * xr - ai * xi);
     want[static_cast<size_t>(2 * i + 1)] = yi + (ar * xi + ai * xr);
   }
-  sim::Interp interp(fn, *d.mem);
   try {
-    interp.run(buildArgs(fn, d, n));
+    sim::runDecoded(sim::decodeFunction(fn), *d.mem, buildArgs(fn, d, n));
   } catch (const std::exception& e) {
     return {false, std::string("caxpy faulted: ") + e.what()};
   }

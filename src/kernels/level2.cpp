@@ -4,7 +4,7 @@
 #include <sstream>
 #include <vector>
 
-#include "sim/interp.h"
+#include "sim/decode.h"
 #include "sim/memsys.h"
 #include "sim/timing.h"
 #include "support/rng.h"
@@ -137,9 +137,8 @@ L2Outcome testGemvT(const ir::Function& fn, int64_t m, int64_t n,
   auto A = readVec<T>(*d.mem, d.aAddr, m * n);
   auto x = readVec<T>(*d.mem, d.xAddr, n);
 
-  sim::Interp interp(fn, *d.mem);
   try {
-    interp.run(d.args(fn, m, n));
+    sim::runDecoded(sim::decodeFunction(fn), *d.mem, d.args(fn, m, n));
   } catch (const std::exception& e) {
     return {false, std::string("gemv faulted: ") + e.what()};
   }
@@ -169,9 +168,8 @@ L2Outcome testGerT(const ir::Function& fn, int64_t m, int64_t n,
   auto y = readVec<T>(*d.mem, d.yAddr, n);
   T alpha = static_cast<T>(d.alpha);
 
-  sim::Interp interp(fn, *d.mem);
   try {
-    interp.run(d.args(fn, m, n));
+    sim::runDecoded(sim::decodeFunction(fn), *d.mem, d.args(fn, m, n));
   } catch (const std::exception& e) {
     return {false, std::string("ger faulted: ") + e.what()};
   }
@@ -224,8 +222,8 @@ sim::TimeResult timeGemv(const arch::MachineConfig& machine,
     mem.warm(d.yAddr, static_cast<uint64_t>(std::max(m, n)) * esize);
   }
   sim::TimingModel timing(machine, mem);
-  sim::Interp interp(fn, *d.mem, &timing);
-  auto run = interp.run(d.args(fn, m, n));
+  auto run = sim::runDecoded(sim::decodeFunction(fn, machine), *d.mem,
+                             d.args(fn, m, n), &timing);
 
   sim::TimeResult out;
   out.cycles = timing.cycles();

@@ -47,7 +47,7 @@ std::vector<T> readVector(const sim::Memory& mem, uint64_t addr, int64_t n) {
 }
 
 template <typename T>
-TestOutcome testKernelT(const KernelSpec& spec, const ir::Function& fn,
+TestOutcome testKernelT(const KernelSpec& spec, const sim::DecodedFunction& fn,
                         int64_t n, uint64_t seed) {
   KernelData data = makeKernelData(spec, n, seed);
   std::vector<T> hx = readVector<T>(*data.mem, data.xAddr, n);
@@ -71,10 +71,9 @@ TestOutcome testKernelT(const KernelSpec& spec, const ir::Function& fn,
       break;
   }
 
-  sim::Interp interp(fn, *data.mem);
   sim::RunResult run;
   try {
-    run = interp.run(data.args(fn));
+    run = sim::runDecoded(fn, *data.mem, data.args(fn.params));
   } catch (const std::exception& e) {
     return {false, std::string("kernel faulted: ") + e.what()};
   }
@@ -170,6 +169,11 @@ KernelData makeKernelData(const KernelSpec& spec, int64_t n, uint64_t seed,
 }
 
 TestOutcome testKernel(const KernelSpec& spec, const ir::Function& fn,
+                       int64_t n, uint64_t seed) {
+  return testKernel(spec, sim::decodeFunction(fn), n, seed);
+}
+
+TestOutcome testKernel(const KernelSpec& spec, const sim::DecodedFunction& fn,
                        int64_t n, uint64_t seed) {
   if (spec.prec == ir::Scal::F32) return testKernelT<float>(spec, fn, n, seed);
   return testKernelT<double>(spec, fn, n, seed);

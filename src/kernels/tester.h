@@ -11,7 +11,7 @@
 
 #include "ir/function.h"
 #include "kernels/registry.h"
-#include "sim/interp.h"
+#include "sim/decode.h"
 #include "sim/memory.h"
 
 namespace ifko::kernels {
@@ -29,8 +29,7 @@ struct KernelData {
   [[nodiscard]] std::vector<sim::ArgValue> args(const ir::Function& fn) const {
     return args(fn.params);
   }
-  /// Same, from a bare parameter list (used by the pre-decoded timing path,
-  /// which does not keep the ir::Function around).
+  /// Same, from a bare parameter list (a DecodedFunction's params).
   [[nodiscard]] std::vector<sim::ArgValue> args(
       const std::vector<ir::Param>& params) const;
 
@@ -68,6 +67,10 @@ struct TestOutcome {
 /// expansion reassociate the sum.
 [[nodiscard]] TestOutcome testKernel(const KernelSpec& spec,
                                      const ir::Function& fn, int64_t n,
+                                     uint64_t seed = 42);
+/// Same, on an already decoded function (its costs, if any, are unused).
+[[nodiscard]] TestOutcome testKernel(const KernelSpec& spec,
+                                     const sim::DecodedFunction& fn, int64_t n,
                                      uint64_t seed = 42);
 
 }  // namespace ifko::kernels

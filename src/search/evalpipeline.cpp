@@ -57,8 +57,7 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::build(
 std::shared_ptr<const CompiledCandidate> EvalPipeline::compile(
     const opt::TuningParams& params) {
   const std::string key = opt::formatTuningSpec(params);
-  const bool tryPrefix =
-      config_.reusePrefixCompiles && hasEnabledPrefetch(params);
+  const bool tryPrefix = hasEnabledPrefetch(params);
   std::string pkey;
   PrefixEntry basis;
   {
@@ -129,11 +128,16 @@ bool EvalPipeline::testerPasses(
     std::lock_guard<std::mutex> lock(mu_);
     if (cand->testerVerdict != -1) return cand->testerVerdict == 1;
   }
+  // An untimed run: on the candidate's decoded form when it has one, else
+  // on a cost-free decode made just for the tester.
+  const bool hasDecoded = cand->decoded.numBlocks > 0;
+  sim::DecodedFunction untimed;
+  if (!hasDecoded) untimed = sim::decodeFunction(cand->compiled.fn);
+  const sim::DecodedFunction& fn = hasDecoded ? cand->decoded : untimed;
   const bool pass =
       spec_ != nullptr
-          ? kernels::testKernel(*spec_, cand->compiled.fn, config_.testerN).ok
-          : fko::checkAgainstReference(testerReference(), cand->compiled.fn)
-                .ok;
+          ? kernels::testKernel(*spec_, fn, config_.testerN).ok
+          : fko::checkAgainstReference(testerReference(), fn).ok;
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.testerRuns;
   cand->testerVerdict = pass ? 1 : 0;
@@ -156,7 +160,7 @@ EvalPipeline::Stats EvalPipeline::stats() const {
 }
 
 const kernels::KernelData* EvalPipeline::dataTemplate() {
-  if (!config_.reuseKernelData || spec_ == nullptr) return nullptr;
+  if (spec_ == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   if (dataTmpl_ == nullptr)
     dataTmpl_ = std::make_unique<kernels::KernelData>(
@@ -165,7 +169,7 @@ const kernels::KernelData* EvalPipeline::dataTemplate() {
 }
 
 const fko::GenericData* EvalPipeline::genericTemplate() {
-  if (!config_.reuseKernelData || !lowered_.ok) return nullptr;
+  if (!lowered_.ok) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   if (genTmpl_ == nullptr)
     genTmpl_ = std::make_unique<fko::GenericData>(fko::makeGenericData(
@@ -174,105 +178,34 @@ const fko::GenericData* EvalPipeline::genericTemplate() {
 }
 
 EvalOutcome evaluateCandidate(const EvalRequest& req) {
-  const SearchConfig& config = *req.config;
-  if (!req.lowered->ok) return {0, EvalOutcome::Status::CompileFail};
+  EvalPipeline& pipe = *req.pipeline;
+  const SearchConfig& config = pipe.config();
+  const arch::MachineConfig& machine = pipe.machine();
+  if (!pipe.lowered().ok) return {0, EvalOutcome::Status::CompileFail};
 
-  std::shared_ptr<const CompiledCandidate> held;
-  fko::CompileResult local;
-  const fko::CompileResult* compiled = nullptr;
-  const sim::DecodedFunction* decoded = nullptr;
-  if (req.pipeline != nullptr) {
-    held = req.pipeline->compile(req.params);
-    compiled = &held->compiled;
-    if (compiled->ok && held->decoded.numBlocks > 0) decoded = &held->decoded;
-  } else {
-    fko::CompileOptions opts;
-    opts.tuning = req.params;
-    local = fko::compileKernel(req.lowered->fn, opts, *req.machine);
-    compiled = &local;
-  }
-  if (!compiled->ok) return {0, EvalOutcome::Status::CompileFail};
+  const std::shared_ptr<const CompiledCandidate> cand =
+      pipe.compile(req.params);
+  if (!cand->compiled.ok) return {0, EvalOutcome::Status::CompileFail};
+  if (!pipe.testerPasses(cand)) return {0, EvalOutcome::Status::TesterFail};
 
-  if (config.testerN > 0) {
-    bool pass;
-    if (req.pipeline != nullptr) {
-      pass = req.pipeline->testerPasses(held);
-    } else {
-      pass = req.spec != nullptr
-                 ? kernels::testKernel(*req.spec, compiled->fn, config.testerN)
-                       .ok
-                 : fko::testAgainstUnoptimized(*req.hilSource, compiled->fn,
-                                               config.testerN)
-                       .ok;
-    }
-    if (!pass) return {0, EvalOutcome::Status::TesterFail};
-  }
-
-  // Screening runs (timeN > 0) truncate the loop trip count but keep the
-  // operands at the full config.n: the screen is an exact prefix of the
-  // full-size run (see sim/timer.h).
-  const int64_t loopN = req.timeN > 0 ? req.timeN : 0;
-  sim::TimeResult timed;
-  if (req.spec != nullptr) {
-    const kernels::KernelData* tmpl =
-        req.pipeline != nullptr ? req.pipeline->dataTemplate() : nullptr;
-    timed = decoded != nullptr
-                ? sim::timeKernel(*req.machine, *decoded, *req.spec, config.n,
-                                  config.context, config.seed, loopN, tmpl)
-                : sim::timeKernel(*req.machine, compiled->fn, *req.spec,
-                                  config.n, config.context, config.seed, loopN,
-                                  tmpl);
-  } else {
-    int64_t strideElems = 1;
-    const fko::GenericData* tmpl = nullptr;
-    if (req.pipeline != nullptr) {
-      strideElems = req.pipeline->maxStrideElems();
-      tmpl = req.pipeline->genericTemplate();
-    } else {
-      for (const auto& a : req.analysis->arrays)
-        strideElems = std::max(strideElems, a.strideElems);
-    }
-    timed = decoded != nullptr
-                ? fko::timeCompiled(*req.machine, *decoded, config.n,
-                                    config.context, config.seed, strideElems,
-                                    loopN, tmpl)
-                : fko::timeCompiled(*req.machine, compiled->fn, config.n,
-                                    config.context, config.seed, strideElems,
-                                    loopN, tmpl);
-  }
+  // Without predecode the candidate holds no decoded form, and the timed
+  // call decodes it here.
+  const bool hasDecoded = cand->decoded.numBlocks > 0;
+  sim::DecodedFunction decodedHere;
+  if (!hasDecoded)
+    decodedHere = sim::decodeFunction(cand->compiled.fn, machine);
+  const sim::DecodedFunction& dfn = hasDecoded ? cand->decoded : decodedHere;
+  const sim::TimeResult timed =
+      pipe.spec() != nullptr
+          ? sim::timeKernel(machine, dfn, *pipe.spec(), config.n,
+                            config.context, config.seed, 0,
+                            pipe.dataTemplate())
+          : fko::timeCompiled(machine, dfn, config.n, config.context,
+                              config.seed, pipe.maxStrideElems(), 0,
+                              pipe.genericTemplate());
   EvalOutcome out{timed.cycles, EvalOutcome::Status::Timed};
-  out.counters = collectCounters(*compiled, timed);
+  out.counters = collectCounters(cand->compiled, timed);
   return out;
-}
-
-bool screeningApplies(const SearchConfig& config, size_t cohort) {
-  return config.screenN > 0 && 2 * config.screenN < config.n &&
-         cohort >= kScreenMinCohort;
-}
-
-EvalOutcome deltaScreen(const EvalOutcome& head, const EvalOutcome& tail) {
-  EvalOutcome d = tail;
-  // The tail strictly contains the head run, so the subtraction cannot
-  // underflow on usable outcomes; guard anyway so a surprise never wraps.
-  d.cycles = tail.cycles > head.cycles ? tail.cycles - head.cycles : 1;
-  d.attempts = head.attempts + tail.attempts - 1;
-  return d;
-}
-
-std::vector<char> screenSurvivors(const SearchConfig& config,
-                                  const std::vector<EvalOutcome>& screens,
-                                  uint64_t incumbentScreen) {
-  std::vector<char> advance(screens.size(), 0);
-  uint64_t best = 0;
-  for (const EvalOutcome& s : screens)
-    if (s.usable() && (best == 0 || s.cycles < best)) best = s.cycles;
-  if (best == 0) return advance;  // every screen failed; verdicts are final
-  if (incumbentScreen != 0) best = std::min(best, incumbentScreen);
-  const double cutoff = static_cast<double>(best) * config.screenMargin;
-  for (size_t i = 0; i < screens.size(); ++i)
-    advance[i] = screens[i].usable() &&
-                 static_cast<double>(screens[i].cycles) <= cutoff;
-  return advance;
 }
 
 }  // namespace ifko::search

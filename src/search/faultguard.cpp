@@ -149,7 +149,7 @@ std::optional<EvalOutcome> FaultInjector::fire(uint64_t evalIndex,
 }
 
 EvalOutcome guardedEvaluateCandidate(const EvalRequest& req) {
-  const SearchConfig& config = *req.config;
+  const SearchConfig& config = req.pipeline->config();
   FaultInjector* injector = req.injector;
   const int maxAttempts = std::max(1, config.maxEvalAttempts);
   const uint64_t evalIndex =
@@ -185,23 +185,6 @@ EvalOutcome guardedEvaluateCandidate(const EvalRequest& req) {
     }
   }
   return last;
-}
-
-EvalOutcome guardedEvaluateCandidate(
-    const std::string& hilSource, const fko::LoweredKernel& lowered,
-    const kernels::KernelSpec* spec, const fko::AnalysisReport& analysis,
-    const arch::MachineConfig& machine, const SearchConfig& config,
-    const opt::TuningParams& params, FaultInjector* injector) {
-  EvalRequest req;
-  req.hilSource = &hilSource;
-  req.lowered = &lowered;
-  req.spec = spec;
-  req.analysis = &analysis;
-  req.machine = &machine;
-  req.config = &config;
-  req.params = params;
-  req.injector = injector;
-  return guardedEvaluateCandidate(req);
 }
 
 }  // namespace ifko::search

@@ -137,15 +137,6 @@ class FaultInjector {
 /// req.injector (may be null) injects the FaultPlan's scheduled faults.
 [[nodiscard]] EvalOutcome guardedEvaluateCandidate(const EvalRequest& req);
 
-/// Deprecated loose-parameter shim for the EvalRequest form; one release of
-/// grace for out-of-tree callers.  `injector` maps to EvalRequest::injector.
-[[deprecated("pack the arguments into a search::EvalRequest")]]
-[[nodiscard]] EvalOutcome guardedEvaluateCandidate(
-    const std::string& hilSource, const fko::LoweredKernel& lowered,
-    const kernels::KernelSpec* spec, const fko::AnalysisReport& analysis,
-    const arch::MachineConfig& machine, const SearchConfig& config,
-    const opt::TuningParams& params, FaultInjector* injector = nullptr);
-
 /// The deterministic ms -> simulated-work conversion behind evalTimeoutMs:
 /// steps = ms * 100'000 interpreter steps, cycles = ms * 1'000'000 model
 /// cycles.  Exposed so tests and docs agree with the implementation.

@@ -1,22 +1,12 @@
 #include "search/linesearch.h"
 
 #include <algorithm>
-#include <map>
 
-#include "fko/harness.h"
-#include "kernels/tester.h"
-#include "opt/paramspace.h"
-#include "search/evalpipeline.h"
-#include "search/faultguard.h"
+#include "search/strategy/strategy.h"
 
 namespace ifko::search {
 
-using opt::PrefParam;
 using opt::TuningParams;
-
-// The per-dimension grids (unrollGrid, accumGrid, prefDistMultGrid) moved
-// to opt/paramspace.h so every search strategy enumerates the same legal
-// space the line search sweeps.
 
 std::string_view evalStatusName(EvalOutcome::Status s) {
   switch (s) {
@@ -26,7 +16,6 @@ std::string_view evalStatusName(EvalOutcome::Status s) {
     case EvalOutcome::Status::Timeout: return "timeout";
     case EvalOutcome::Status::Crash: return "crash";
     case EvalOutcome::Status::FailUnknown: return "fail";
-    case EvalOutcome::Status::ScreenedOut: return "screened";
   }
   return "?";
 }
@@ -34,7 +23,7 @@ std::string_view evalStatusName(EvalOutcome::Status s) {
 std::optional<EvalOutcome::Status> parseEvalStatus(std::string_view name) {
   using S = EvalOutcome::Status;
   for (S s : {S::Timed, S::CompileFail, S::TesterFail, S::Timeout, S::Crash,
-              S::FailUnknown, S::ScreenedOut})
+              S::FailUnknown})
     if (evalStatusName(s) == name) return s;
   return std::nullopt;
 }
@@ -96,378 +85,17 @@ std::vector<std::string> paramsRow(const opt::TuningParams& params,
   return row;
 }
 
-EvalOutcome evaluateCandidate(const std::string& hilSource,
-                              const fko::LoweredKernel& lowered,
-                              const kernels::KernelSpec* spec,
-                              const fko::AnalysisReport& analysis,
-                              const arch::MachineConfig& machine,
-                              const SearchConfig& config,
-                              const opt::TuningParams& params) {
-  EvalRequest req;
-  req.hilSource = &hilSource;
-  req.lowered = &lowered;
-  req.spec = spec;
-  req.analysis = &analysis;
-  req.machine = &machine;
-  req.config = &config;
-  req.params = params;
-  return evaluateCandidate(req);
-}
-
-namespace {
-
-/// The built-in backend: evaluates in order on the calling thread through a
-/// per-search EvalPipeline (compile/decode/tester memos), with whole
-/// outcomes additionally memoized on the canonical TuningSpec string for
-/// the lifetime of one search.  Screen-then-confirm (SearchConfig::screenN)
-/// applies per batch of memo misses.
-class SerialEvaluator final : public Evaluator {
- public:
-  SerialEvaluator(std::string source, const kernels::KernelSpec* spec,
-                  const arch::MachineConfig& machine,
-                  const SearchConfig& config)
-      : config_(config), pipeline_(std::move(source), spec, machine, config) {}
-
-  std::vector<EvalOutcome> evaluateBatch(
-      const std::vector<opt::TuningParams>& batch,
-      const std::string& /*dimension*/) override {
-    std::vector<EvalOutcome> out(batch.size());
-    // Memo pre-pass: replays are free and leave the cohort of fresh
-    // candidates the screening policy applies to.  A spec repeated within
-    // one batch is evaluated once and replayed for the duplicates, exactly
-    // like the serial scan's insert-then-hit did.
-    std::vector<size_t> miss;
-    std::map<std::string, size_t> firstMiss;
-    std::vector<std::pair<size_t, size_t>> dups;  // (duplicate, original)
-    for (size_t i = 0; i < batch.size(); ++i) {
-      std::string key = opt::formatTuningSpec(batch[i]);
-      auto it = memo_.find(key);
-      if (it != memo_.end()) {
-        out[i] = it->second;
-        out[i].fromCache = true;
-        continue;
-      }
-      auto [fit, fresh] = firstMiss.emplace(key, i);
-      if (fresh)
-        miss.push_back(i);
-      else
-        dups.emplace_back(i, fit->second);
-    }
-
-    auto evalAt = [&](size_t i, int64_t timeN) {
-      EvalRequest req = pipeline_.request(batch[i]);
-      req.timeN = timeN;
-      return guardedEvaluateCandidate(req);
-    };
-
-    if (screeningApplies(config_, miss.size())) {
-      std::vector<EvalOutcome> screens(miss.size());
-      for (size_t k = 0; k < miss.size(); ++k) {
-        EvalOutcome head = evalAt(miss[k], config_.screenN);
-        if (!head.usable()) {
-          screens[k] = head;
-          continue;
-        }
-        EvalOutcome tail = evalAt(miss[k], 2 * config_.screenN);
-        if (!tail.usable()) {
-          screens[k] = tail;
-          continue;
-        }
-        screens[k] = deltaScreen(head, tail);
-      }
-      std::vector<char> advance =
-          screenSurvivors(config_, screens, incumbentScreen_);
-      for (size_t k = 0; k < miss.size(); ++k) {
-        if (advance[k]) {
-          out[miss[k]] = evalAt(miss[k], 0);
-          noteConfirmed(out[miss[k]], screens[k].cycles);
-        } else if (screens[k].usable()) {
-          EvalOutcome o{0, EvalOutcome::Status::ScreenedOut};
-          o.attempts = screens[k].attempts;
-          out[miss[k]] = o;
-        } else {
-          out[miss[k]] = screens[k];  // the screen's failure is final
-        }
-      }
-    } else {
-      for (size_t i : miss) {
-        out[i] = evalAt(i, 0);
-        noteConfirmed(out[i], 0);
-      }
-    }
-
-    for (size_t i : miss) {
-      ++evaluations_;
-      memo_[opt::formatTuningSpec(batch[i])] = out[i];
-    }
-    for (auto [i, j] : dups) {
-      out[i] = out[j];
-      out[i].fromCache = true;
-    }
-    return out;
-  }
-
-  int evaluations() const override { return evaluations_; }
-
- private:
-  /// Track the search incumbent so screenSurvivors can skip full-size
-  /// confirmation of candidates that cannot beat it.  `screenCycles` is the
-  /// candidate's own screen-size time (0 when it ran unscreened — then only
-  /// the full-size best advances, the screen yardstick stays put).
-  void noteConfirmed(const EvalOutcome& full, uint64_t screenCycles) {
-    if (!full.usable()) return;
-    if (bestFull_ != 0 && full.cycles >= bestFull_) return;
-    bestFull_ = full.cycles;
-    if (screenCycles != 0) incumbentScreen_ = screenCycles;
-  }
-
-  const SearchConfig& config_;
-  EvalPipeline pipeline_;
-  std::map<std::string, EvalOutcome> memo_;
-  int evaluations_ = 0;
-  uint64_t bestFull_ = 0;        ///< best full-size cycles confirmed so far
-  uint64_t incumbentScreen_ = 0; ///< that incumbent's screen-size cycles
-};
-
-class LineSearchCore {
- public:
-  LineSearchCore(const std::string& source, const arch::MachineConfig& machine,
-                 const SearchConfig& config, Evaluator& eval)
-      : source_(source), machine_(machine), config_(config), eval_(eval) {}
-
-  TuneResult run() {
-    TuneResult result;
-    result.analysis = fko::analyzeKernel(source_, machine_);
-    if (!result.analysis.ok) {
-      result.error = result.analysis.error;
-      return result;
-    }
-    const fko::AnalysisReport& rep = result.analysis;
-
-    cur_ = fkoDefaults(rep, machine_);
-    result.defaults = cur_;
-    curCycles_ = eval_.evaluateBatch({cur_}, "DEFAULTS")[0].cycles;
-    if (curCycles_ == 0) {
-      result.error = "default parameters failed to compile/time";
-      result.evaluations = eval_.evaluations();
-      return result;
-    }
-    result.defaultCycles = curCycles_;
-
-    const int line = machine_.lineBytes();
-
-    // --- WNT ------------------------------------------------------------------
-    {
-      std::vector<TuningParams> cands;
-      bool hasStores = false;
-      for (const auto& a : rep.arrays) hasStores |= a.stored;
-      if (hasStores) {
-        TuningParams t = cur_;
-        t.nonTemporalWrites = !t.nonTemporalWrites;
-        cands.push_back(t);
-      }
-      sweep("WNT", cands);
-    }
-
-    // --- PF distance: a 1-D sweep per array, committed sequentially, with
-    // a second round since the arrays' distances interact through the bus
-    // (the paper's relaxation of strict 1-D searches).  Within one array's
-    // grid the candidates are mutually independent, so they form one batch.
-    {
-      int prefetchableArrays = 0;
-      for (const auto& a : rep.arrays)
-        if (a.prefetchable) ++prefetchableArrays;
-      int rounds = prefetchableArrays > 1 ? 2 : 1;
-      for (int round = 0; round < rounds; ++round) {
-        for (const auto& a : rep.arrays) {
-          if (!a.prefetchable) continue;
-          std::vector<TuningParams> cands;
-          for (int mult : opt::prefDistMultGrid(config_.reducedGrids())) {
-            TuningParams t = cur_;
-            PrefParam& pp = t.prefetch[a.name];
-            if (mult == 0) {
-              pp.enabled = false;
-              pp.distBytes = 0;
-            } else {
-              pp.enabled = true;
-              pp.distBytes = mult * line;
-            }
-            cands.push_back(t);
-          }
-          commit(cands, eval_.evaluateBatch(cands, "PF DST"));
-        }
-      }
-      endDimension("PF DST");
-    }
-
-    // --- PF instruction kind (sequential per-array commits) ------------------
-    {
-      for (const auto& a : rep.arrays) {
-        if (!a.prefetchable) continue;
-        auto it = cur_.prefetch.find(a.name);
-        if (it == cur_.prefetch.end() || !it->second.enabled) continue;
-        ir::PrefKind curKind = it->second.kind;
-        std::vector<TuningParams> cands;
-        for (ir::PrefKind kind : rep.prefKinds) {
-          if (kind == curKind) continue;
-          TuningParams t = cur_;
-          t.prefetch[a.name].kind = kind;
-          cands.push_back(t);
-        }
-        commit(cands, eval_.evaluateBatch(cands, "PF INS"));
-      }
-      endDimension("PF INS");
-    }
-
-    // --- UR ---------------------------------------------------------------------
-    {
-      std::vector<TuningParams> cands;
-      for (int u : opt::unrollGrid(config_.reducedGrids(), rep.maxUnroll)) {
-        if (u == cur_.unroll) continue;
-        TuningParams t = cur_;
-        t.unroll = u;
-        t.accumExpand = std::min(t.accumExpand, u);
-        cands.push_back(t);
-      }
-      sweep("UR", cands);
-    }
-
-    // --- AE ---------------------------------------------------------------------
-    {
-      std::vector<TuningParams> cands;
-      if (rep.numAccumulators > 0) {
-        for (int m : opt::accumGrid(config_.reducedGrids())) {
-          if (m == cur_.accumExpand || m > cur_.unroll) continue;
-          TuningParams t = cur_;
-          t.accumExpand = m;
-          cands.push_back(t);
-        }
-      }
-      sweep("AE", cands);
-    }
-
-    // --- restricted 2-D (UR, AE): strongly interacting pair --------------------
-    if (rep.numAccumulators > 0 && !config_.reducedGrids()) {
-      std::vector<TuningParams> cands;
-      std::vector<int> urs = opt::unrollGrid(false, rep.maxUnroll);
-      auto near = [&](int v, const std::vector<int>& grid) {
-        std::vector<int> out;
-        auto it = std::find(grid.begin(), grid.end(), v);
-        if (it == grid.end()) return out;
-        if (it != grid.begin()) out.push_back(*(it - 1));
-        if (it + 1 != grid.end()) out.push_back(*(it + 1));
-        return out;
-      };
-      std::vector<int> urCands = near(cur_.unroll, urs);
-      urCands.push_back(cur_.unroll);
-      std::vector<int> aeCands = near(cur_.accumExpand, opt::accumGrid(false));
-      aeCands.push_back(cur_.accumExpand);
-      for (int u : urCands)
-        for (int m : aeCands) {
-          if (m > u) continue;
-          if (u == cur_.unroll && m == cur_.accumExpand) continue;
-          TuningParams t = cur_;
-          t.unroll = u;
-          t.accumExpand = m;
-          cands.push_back(t);
-        }
-      sweep("UR*AE", cands);
-    }
-
-    // --- extensions (opt-in): block fetch and CISC indexing ----------------
-    if (config_.searchExtensions) {
-      {
-        std::vector<TuningParams> cands;
-        TuningParams t = cur_;
-        t.blockFetch = !t.blockFetch;
-        cands.push_back(t);
-        // Block fetch wants whole blocks per iteration: retry deeper unrolls.
-        for (int u : {8, 16, 32}) {
-          if (u > rep.maxUnroll) continue;
-          TuningParams t2 = cur_;
-          t2.blockFetch = true;
-          t2.unroll = u;
-          cands.push_back(t2);
-        }
-        sweep("BF", cands);
-      }
-      {
-        std::vector<TuningParams> cands;
-        TuningParams t = cur_;
-        t.ciscIndexing = !t.ciscIndexing;
-        cands.push_back(t);
-        sweep("CISC", cands);
-      }
-    }
-
-    result.best = cur_;
-    result.bestCycles = curCycles_;
-    result.ledger = ledger_;
-    result.evaluations = eval_.evaluations();
-    result.ok = true;
-    return result;
-  }
-
- private:
-  /// Scan the batch results in candidate order, committing every strict
-  /// improvement — identical to the serial sweep's running minimum.
-  void commit(const std::vector<TuningParams>& cands,
-              const std::vector<EvalOutcome>& outcomes) {
-    for (size_t i = 0; i < cands.size(); ++i) {
-      if (outcomes[i].cycles != 0 && outcomes[i].cycles < curCycles_) {
-        curCycles_ = outcomes[i].cycles;
-        cur_ = cands[i];
-      }
-    }
-  }
-
-  void endDimension(const std::string& dim) {
-    ledger_.push_back({dim, curCycles_});
-    eval_.onDimensionEnd(dim, curCycles_, cur_);
-  }
-
-  void sweep(const std::string& dim, const std::vector<TuningParams>& cands) {
-    if (!cands.empty()) commit(cands, eval_.evaluateBatch(cands, dim));
-    endDimension(dim);
-  }
-
-  const std::string& source_;
-  const arch::MachineConfig& machine_;
-  const SearchConfig& config_;
-  Evaluator& eval_;
-  TuningParams cur_;
-  uint64_t curCycles_ = 0;
-  std::vector<DimensionResult> ledger_;
-};
-
-}  // namespace
-
-std::unique_ptr<Evaluator> makeSerialEvaluator(
-    std::string source, const kernels::KernelSpec* spec,
-    const arch::MachineConfig& machine, const SearchConfig& config) {
-  return std::make_unique<SerialEvaluator>(std::move(source), spec, machine,
-                                           config);
-}
-
-TuneResult runLineSearch(const std::string& hilSource,
-                         const arch::MachineConfig& machine,
-                         const SearchConfig& config, Evaluator& evaluator) {
-  return LineSearchCore(hilSource, machine, config, evaluator).run();
-}
-
 TuneResult tuneKernel(const kernels::KernelSpec& spec,
                       const arch::MachineConfig& machine,
                       const SearchConfig& config) {
-  std::string source = spec.hilSource();
-  SerialEvaluator eval(source, &spec, machine, config);
-  return runLineSearch(source, machine, config, eval);
+  return tuneKernelWithStrategy(spec, machine, config, StrategyKind::Line, {});
 }
 
 TuneResult tuneSource(const std::string& hilSource,
                       const arch::MachineConfig& machine,
                       const SearchConfig& config) {
-  SerialEvaluator eval(hilSource, nullptr, machine, config);
-  return runLineSearch(hilSource, machine, config, eval);
+  return tuneSourceWithStrategy(hilSource, machine, config, StrategyKind::Line,
+                                {});
 }
 
 }  // namespace ifko::search

@@ -13,17 +13,17 @@
 // timed on the simulated machine and checked by the tester ("unnecessary in
 // theory, but useful in practice").
 //
-// The search core is parameterized over an evaluation backend (Evaluator):
-// each dimension hands its mutually independent candidates over as one
-// batch, which is what lets search::Orchestrator fan evaluations out to a
-// worker thread pool, memoize them in a persistent cache, and trace them —
+// The sweep itself is the line-search strategy (strategy/strategy.h), run
+// by the strategy driver over search::Orchestrator's evaluator: each
+// dimension hands its mutually independent candidates over as one batch,
+// which is what lets the orchestrator fan evaluations out to a worker
+// thread pool, memoize them in a persistent cache, and trace them —
 // without the search logic knowing.  Batching does not change the result:
-// the committed point is the earliest strict improvement, exactly what the
+// the committed point is the earliest strict improvement, exactly what a
 // serial scan picks.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,8 +37,6 @@
 
 namespace ifko::search {
 
-struct EvalRequest;  // search/evalpipeline.h
-
 struct SearchConfig {
   int64_t n = 80000;  ///< problem size to time (paper: 80000 / 1024)
   sim::TimeContext context = sim::TimeContext::OutOfCache;
@@ -46,7 +44,7 @@ struct SearchConfig {
   /// Verify each candidate's output at this length (0 disables the tester).
   int64_t testerN = 256;
   /// Worker threads for candidate evaluation under search::Orchestrator
-  /// (the built-in serial evaluator ignores it).  Any value produces
+  /// (tuneKernel and tuneSource always use one).  Any value produces
   /// identical results; it only changes turnaround.
   int jobs = 1;
   /// Also search the extension transforms (block fetch, CISC indexing) the
@@ -54,36 +52,10 @@ struct SearchConfig {
   /// evaluated FKO.
   bool searchExtensions = false;
 
-  // --- evaluation fast path (search/evalpipeline.h) ------------------------
-  /// Execute timing runs over the pre-decoded instruction form
-  /// (sim/decode.h) when an EvalPipeline is attached.  Bit-identical cycles
-  /// to the interpreter path; exists as a switch only for A/B testing.
+  /// Decode each compiled candidate once, in the pipeline's compile memo
+  /// (sim/decode.h), so its tester and timing runs share the decoded form.
+  /// Off, the timed call decodes by itself.  Same cycles either way.
   bool predecode = true;
-  /// Reuse compiled artifacts across candidates that differ only in
-  /// prefetch distances (the largest line-search dimension): the pipeline
-  /// patches the Pref displacements of a previously compiled sibling
-  /// instead of re-running the pass stack.  Byte-identical output either
-  /// way; a switch for A/B testing.
-  bool reusePrefixCompiles = true;
-  /// Generate the timing operands once per search and clone the pristine
-  /// image per evaluation (timed runs mutate their operands) instead of
-  /// re-running data generation every time.  The clone is bit-for-bit the
-  /// fresh image; a switch for A/B testing.
-  bool reuseKernelData = true;
-  /// Screen-then-confirm (opt-in, 0 = off): when a batch has at least
-  /// kScreenMinCohort cache-missing candidates, each is first timed over
-  /// this many loop iterations ON THE FULL-SIZE OPERANDS — an exact prefix
-  /// of the full run, so prefetch distances and strides behave as they do
-  /// at full length.  Only candidates within screenMargin of the cohort's
-  /// best screen time (and of the incumbent's, once one is known) are
-  /// re-timed at the full `n` ("confirmed").  The rest score
-  /// Status::ScreenedOut (cycles 0, never committed).  Every cycle count
-  /// the search reports/commits still comes from a full-size run, so
-  /// confirmed results are comparable across screened and unscreened
-  /// searches; the set of candidates that got a full look may differ.
-  int64_t screenN = 0;
-  /// Screen survivors: screenCycles <= margin * bestScreenCycles.
-  double screenMargin = 1.25;
 
   // --- fault isolation (search/faultguard.h) -------------------------------
   /// Per-candidate deadline in "milliseconds", converted at a fixed
@@ -116,14 +88,6 @@ struct SearchConfig {
  private:
   bool reducedGrids_ = false;
 };
-
-/// Smallest cohort of cache-missing candidates screen-then-confirm applies
-/// to: below this the screening run costs more than it saves (and DEFAULTS,
-/// always a batch of one, is always confirmed at full size).  Two is enough
-/// once an incumbent yardstick exists (SerialEvaluator::noteConfirmed):
-/// most of a line search's batches are pairs, and a pair that cannot beat
-/// the incumbent costs two short screens instead of two full-size runs.
-inline constexpr size_t kScreenMinCohort = 2;
 
 /// One completed line-search dimension, for the Figure 7 ledger.
 struct DimensionResult {
@@ -178,17 +142,13 @@ struct TuneResult {
 ///                injected fault, contained by search/faultguard.h
 ///   FailUnknown  a pre-status cache line recorded only cycles == 0; the
 ///                failure flavour was never written down
-///   ScreenedOut  screen-then-confirm (SearchConfig::screenN) timed the
-///                candidate at the reduced size and it fell outside the
-///                confirmation margin; it was never timed at full size and
-///                can never be committed
 ///
 /// CompileFail/TesterFail are deterministic rejections; Timeout/Crash are
 /// the "hard" failures the guarded path retries and the orchestrator's
 /// quarantine counts.
 struct EvalOutcome {
   enum class Status : uint8_t {
-    Timed, CompileFail, TesterFail, Timeout, Crash, FailUnknown, ScreenedOut
+    Timed, CompileFail, TesterFail, Timeout, Crash, FailUnknown
   };
   uint64_t cycles = 0;
   Status status = Status::Timed;
@@ -208,13 +168,13 @@ struct EvalOutcome {
 };
 
 /// Trace/cache name: "timed", "compile_fail", "tester_fail", "timeout",
-/// "crash", "fail" (FailUnknown), "screened" (ScreenedOut).
+/// "crash", "fail" (FailUnknown).
 [[nodiscard]] std::string_view evalStatusName(EvalOutcome::Status s);
 /// Inverse of evalStatusName; nullopt for unknown strings.
 [[nodiscard]] std::optional<EvalOutcome::Status> parseEvalStatus(
     std::string_view name);
 
-/// Evaluation backend for the search core.
+/// Evaluation backend for the strategy driver (strategy/strategy.h).
 class Evaluator {
  public:
   virtual ~Evaluator() = default;
@@ -231,50 +191,14 @@ class Evaluator {
                               const opt::TuningParams& best);
 };
 
-/// Compile + differential-test + time one candidate.  A pure function of
-/// its request (the simulator is deterministic and side-effect-free), so it
-/// is safe to call concurrently from worker threads.  Declared in
-/// search/evalpipeline.h with the EvalRequest it consumes.
-[[nodiscard]] EvalOutcome evaluateCandidate(const EvalRequest& req);
-
-/// Deprecated loose-parameter shim for the EvalRequest form above; builds a
-/// request (no pipeline, so no fast path) and forwards.  One release of
-/// grace for out-of-tree callers, then it goes away.
-[[deprecated("pack the arguments into a search::EvalRequest")]]
-[[nodiscard]] EvalOutcome evaluateCandidate(const std::string& hilSource,
-                                            const fko::LoweredKernel& lowered,
-                                            const kernels::KernelSpec* spec,
-                                            const fko::AnalysisReport& analysis,
-                                            const arch::MachineConfig& machine,
-                                            const SearchConfig& config,
-                                            const opt::TuningParams& params);
-
-/// The built-in evaluation backend: serial, memoized on the canonical
-/// TuningSpec string for its own lifetime.  `source` is copied; `spec` may
-/// be null (differential checking), and `machine`/`config` must outlive
-/// the evaluator.  tuneKernel/tuneSource use this; the strategy wrappers
-/// (strategy/strategy.h) reuse it so every strategy times candidates
-/// through the same path.
-[[nodiscard]] std::unique_ptr<Evaluator> makeSerialEvaluator(
-    std::string source, const kernels::KernelSpec* spec,
-    const arch::MachineConfig& machine, const SearchConfig& config);
-
-/// The search core, parameterized over the evaluation backend.  tuneKernel
-/// and tuneSource wrap it with the built-in serial memoizing evaluator;
-/// search::Orchestrator supplies a parallel, cached, tracing one.  (How a
-/// candidate is checked — reference BLAS or differential — is the
-/// evaluator's concern, so no KernelSpec appears here.)
-[[nodiscard]] TuneResult runLineSearch(const std::string& hilSource,
-                                       const arch::MachineConfig& machine,
-                                       const SearchConfig& config,
-                                       Evaluator& evaluator);
-
 /// FKO's default parameters for this kernel/machine (no search).
 [[nodiscard]] opt::TuningParams fkoDefaults(const fko::AnalysisReport& report,
                                             const arch::MachineConfig& machine);
 
 /// Runs the full iterative search on a surveyed BLAS kernel (candidates
-/// are checked against the hand-written reference implementations).
+/// are checked against the hand-written reference implementations): the
+/// line-search strategy, unlimited budget, on an in-memory orchestrator
+/// with one worker.
 [[nodiscard]] TuneResult tuneKernel(const kernels::KernelSpec& spec,
                                     const arch::MachineConfig& machine,
                                     const SearchConfig& config);
@@ -283,7 +207,7 @@ class Evaluator {
 /// are checked differentially against the unoptimized lowering of the same
 /// source (fko::testAgainstUnoptimized), so no reference implementation is
 /// required — the "generalize it enough to tune almost any floating point
-/// kernel" goal of the paper.
+/// kernel" goal of the paper.  Same driver as tuneKernel.
 [[nodiscard]] TuneResult tuneSource(const std::string& hilSource,
                                     const arch::MachineConfig& machine,
                                     const SearchConfig& config);

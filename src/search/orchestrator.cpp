@@ -78,69 +78,19 @@ class OrchestratedEvaluator final : public Evaluator {
       else copyFrom[i] = it->second;
     }
 
-    const SearchConfig& cfg = orch_.config_.search;
     FaultInjector* injector =
         orch_.injector_.empty() ? nullptr : &orch_.injector_;
     // guardedEvaluateCandidate never throws — workers cannot unwind — but
     // parallelFor would contain and rethrow an exception here regardless.
-    auto runOver = [&](const std::vector<size_t>& idx, int64_t timeN,
-                       std::vector<EvalOutcome>& dst) {
-      auto evalOne = [&](size_t k) {
-        EvalRequest req = pipeline_->request(batch[idx[k]]);
-        req.injector = injector;
-        req.timeN = timeN;
-        dst[k] = guardedEvaluateCandidate(req);
-      };
-      if (orch_.pool_ != nullptr) {
-        orch_.pool_->parallelFor(idx.size(), evalOne);
-      } else {
-        for (size_t k = 0; k < idx.size(); ++k) evalOne(k);
-      }
+    auto evalOne = [&](size_t k) {
+      EvalRequest req = pipeline_->request(batch[missIdx[k]]);
+      req.injector = injector;
+      out[missIdx[k]] = guardedEvaluateCandidate(req);
     };
-
-    if (screeningApplies(cfg, missIdx.size())) {
-      // Screen-then-confirm: time every miss at the reduced screenN, then
-      // re-time only the survivors at full size.  Non-survivors score
-      // ScreenedOut (cached under the full-size key, so a warm replay walks
-      // the same trajectory); failed screens already ARE the final verdict.
-      std::vector<EvalOutcome> heads(missIdx.size());
-      std::vector<EvalOutcome> tails(missIdx.size());
-      runOver(missIdx, cfg.screenN, heads);
-      runOver(missIdx, 2 * cfg.screenN, tails);
-      std::vector<EvalOutcome> screens(missIdx.size());
-      for (size_t k = 0; k < missIdx.size(); ++k)
-        screens[k] = !heads[k].usable()   ? heads[k]
-                     : !tails[k].usable() ? tails[k]
-                                          : deltaScreen(heads[k], tails[k]);
-      std::vector<char> advance =
-          screenSurvivors(cfg, screens, incumbentScreen_);
-      std::vector<size_t> confirmIdx;
-      std::vector<size_t> confirmSlot;
-      for (size_t k = 0; k < missIdx.size(); ++k) {
-        if (advance[k]) {
-          confirmIdx.push_back(missIdx[k]);
-          confirmSlot.push_back(k);
-        } else if (screens[k].usable()) {
-          out[missIdx[k]] = EvalOutcome{0, EvalOutcome::Status::ScreenedOut};
-          out[missIdx[k]].attempts = screens[k].attempts;
-        } else {
-          out[missIdx[k]] = screens[k];
-        }
-      }
-      std::vector<EvalOutcome> confirms(confirmIdx.size());
-      runOver(confirmIdx, /*timeN=*/0, confirms);
-      for (size_t c = 0; c < confirmIdx.size(); ++c) {
-        out[confirmIdx[c]] = confirms[c];
-        out[confirmIdx[c]].attempts += screens[confirmSlot[c]].attempts - 1;
-        noteConfirmed(confirms[c], screens[confirmSlot[c]].cycles);
-      }
+    if (orch_.pool_ != nullptr) {
+      orch_.pool_->parallelFor(missIdx.size(), evalOne);
     } else {
-      std::vector<EvalOutcome> results(missIdx.size());
-      runOver(missIdx, /*timeN=*/0, results);
-      for (size_t k = 0; k < missIdx.size(); ++k) {
-        out[missIdx[k]] = results[k];
-        noteConfirmed(results[k], 0);
-      }
+      for (size_t k = 0; k < missIdx.size(); ++k) evalOne(k);
     }
 
     for (size_t i : missIdx) {
@@ -207,27 +157,12 @@ class OrchestratedEvaluator final : public Evaluator {
     return k;
   }
 
-  /// Track the search incumbent so screenSurvivors can skip full-size
-  /// confirmation of candidates that cannot beat it.  Runs on the
-  /// orchestrator thread after the batch barrier — never racing the
-  /// workers.  `screenCycles` is the candidate's own screen-size time (0
-  /// when it ran unscreened — then only the full-size best advances and the
-  /// screen yardstick stays put).
-  void noteConfirmed(const EvalOutcome& full, uint64_t screenCycles) {
-    if (!full.usable()) return;
-    if (bestFull_ != 0 && full.cycles >= bestFull_) return;
-    bestFull_ = full.cycles;
-    if (screenCycles != 0) incumbentScreen_ = screenCycles;
-  }
-
   Orchestrator& orch_;
   const KernelJob& job_;
   std::shared_ptr<EvalPipeline> pipeline_;
   EvalKey baseKey_;
   std::string lastDim_;
   int evaluations_ = 0;
-  uint64_t bestFull_ = 0;         ///< best full-size cycles confirmed so far
-  uint64_t incumbentScreen_ = 0;  ///< that incumbent's screen-size cycles
   FailureCounts faults_;
 };
 

@@ -69,8 +69,7 @@ struct OrchestratorConfig {
   std::string cacheShard;
   std::string tracePath;  ///< JSONL event trace ("" = off); appended per run
   /// Search policy.  Every kind runs through the same strategy driver;
-  /// Line with an unlimited budget reproduces the legacy serial
-  /// runLineSearch bit for bit (orchestrator_test holds it to that).
+  /// Line with an unlimited budget is the paper's line search.
   StrategyKind strategy = StrategyKind::Line;
   Budget budget;  ///< default: unlimited, seed 1
   /// Quarantine: once a kernel accumulates this many hard failures

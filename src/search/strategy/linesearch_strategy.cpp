@@ -1,20 +1,17 @@
-// The paper's modified line search re-expressed as a SearchStrategy.
+// The paper's modified line search as a SearchStrategy.
 //
-// This is the same sweep LineSearchCore (linesearch.cpp) runs, turned
-// inside-out into a propose/observe state machine: each propose() emits the
+// The sweep is a propose/observe state machine: each propose() emits the
 // next indivisible batch (one dimension's grid, or one per-array sub-batch
 // of the PF sweeps), and observe() applies the serial commit rule — take
-// every strict improvement, scanning in proposal order.  Because that rule
-// commits exactly the candidates the legacy core commits, and the batches
-// are built from the same running point `cur_` at the same moments, the
-// proposal sequence, the committed parameters, and the dimension ledger are
-// bit-for-bit those of runLineSearch (strategy_test.cpp holds this against
-// every registry kernel).
+// every strict improvement, scanning in proposal order.  Batches are built
+// from the running point `cur_`, so the proposal sequence, the committed
+// parameters and the dimension ledger are those of a serial sweep
+// (search_golden_test holds them to a snapshot).
 //
 // Ledger timing: a dimension's entry is recorded at the first propose()
-// after its last batch was observed (closeAfter_), which reproduces the
-// legacy evaluate -> dimension_end -> next-dimension event order through
-// the driver's ledger flush.
+// after its last batch was observed (closeAfter_), which keeps the
+// evaluate -> dimension_end -> next-dimension event order through the
+// driver's ledger flush.
 #include <algorithm>
 #include <string>
 #include <vector>

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "search/orchestrator.h"
 #include "search/strategy/strategies_impl.h"
 
 namespace ifko::search {
@@ -186,26 +187,41 @@ TuneResult runStrategySearch(const std::string& hilSource,
   return result;
 }
 
+namespace {
+
+/// One search on an in-memory orchestrator with one worker: no cache file,
+/// no trace, and no quarantine (every candidate's failure is just a
+/// failed candidate, as in a plain serial search).
+TuneResult tuneInMemory(const KernelJob& job,
+                        const arch::MachineConfig& machine,
+                        const SearchConfig& config, StrategyKind kind,
+                        const Budget& budget) {
+  OrchestratorConfig oc;
+  oc.search = config;
+  oc.search.jobs = 1;
+  oc.strategy = kind;
+  oc.budget = budget;
+  oc.quarantineAfter = 0;
+  Orchestrator orch(machine, oc);
+  return orch.tune(job).result;
+}
+
+}  // namespace
+
 TuneResult tuneKernelWithStrategy(const kernels::KernelSpec& spec,
                                   const arch::MachineConfig& machine,
                                   const SearchConfig& config, StrategyKind kind,
                                   const Budget& budget) {
-  const std::string source = spec.hilSource();
-  std::unique_ptr<Evaluator> eval =
-      makeSerialEvaluator(source, &spec, machine, config);
-  std::unique_ptr<SearchStrategy> strategy = makeStrategy(kind, budget);
-  return runStrategySearch(source, machine, config, *strategy, budget, *eval);
+  return tuneInMemory({spec.name(), spec.hilSource(), &spec}, machine, config,
+                      kind, budget);
 }
 
 TuneResult tuneSourceWithStrategy(const std::string& hilSource,
                                   const arch::MachineConfig& machine,
                                   const SearchConfig& config, StrategyKind kind,
                                   const Budget& budget) {
-  std::unique_ptr<Evaluator> eval =
-      makeSerialEvaluator(hilSource, nullptr, machine, config);
-  std::unique_ptr<SearchStrategy> strategy = makeStrategy(kind, budget);
-  return runStrategySearch(hilSource, machine, config, *strategy, budget,
-                           *eval);
+  return tuneInMemory({"kernel", hilSource, nullptr}, machine, config, kind,
+                      budget);
 }
 
 }  // namespace ifko::search

@@ -114,9 +114,8 @@ enum class StrategyKind : uint8_t {
                                        const SearchConfig& config);
 
 /// The budgeted driver loop: evaluates the strategy's proposals through
-/// `evaluator` (serial, or the orchestrator's parallel cached one) until
-/// the strategy finishes or the budget is spent.  With StrategyKind::Line
-/// and an unlimited budget this reproduces runLineSearch bit for bit.
+/// `evaluator` (search::Orchestrator's cached, optionally parallel one)
+/// until the strategy finishes or the budget is spent.
 ///
 /// Deferred warm-start: called once, right after the DEFAULTS evaluation,
 /// with its outcome (counters included).  Returning a TuningParams makes it
@@ -139,8 +138,9 @@ using WarmStartFn =
     Evaluator& evaluator, const opt::TuningParams* warmStart = nullptr,
     const WarmStartFn& warmStartFn = {});
 
-/// Convenience wrappers over the built-in serial evaluator, mirroring
-/// tuneKernel / tuneSource.
+/// One search with `kind` on an in-memory search::Orchestrator with one
+/// worker (no cache file, no trace, no quarantine); tuneKernel and
+/// tuneSource are these with StrategyKind::Line and an unlimited budget.
 [[nodiscard]] TuneResult tuneKernelWithStrategy(const kernels::KernelSpec& spec,
                                                 const arch::MachineConfig& machine,
                                                 const SearchConfig& config,

@@ -4,9 +4,9 @@
 // keeps going even when a transformation misbehaves).  Wall-clock timers
 // cannot give reproducible verdicts — the same candidate would pass on a
 // fast host and time out on a loaded one — so the deadline is counted in
-// *simulated work*: interpreter steps (sim::Interp charges one per dynamic
-// instruction) and completion cycles (sim::TimingModel checks its clock as
-// it retires).  Exceeding either cap throws TimeoutError, which the
+// *simulated work*: interpreter steps (sim::runDecoded charges one per
+// dynamic instruction) and completion cycles (sim::TimingModel checks its
+// clock as it retires).  Exceeding either cap throws TimeoutError, which the
 // guarded evaluation path (search/faultguard.h) converts into a structured
 // Timeout outcome.  The budget is a thread-local scope, so worker threads
 // in the orchestrator pool meter their own candidate without touching the
@@ -28,7 +28,7 @@ class TimeoutError : public std::runtime_error {
 };
 
 namespace detail {
-/// The thread's active budget; interp/timing cache the pointer once per run
+/// The thread's active budget; runDecoded/timing cache the pointer once per run
 /// so the per-instruction charge is one decrement, not a TLS lookup.
 struct EvalBudgetState {
   uint64_t stepsLeft = 0;  ///< remaining interpreter steps

@@ -14,8 +14,7 @@ using ir::Scal;
 
 namespace {
 
-// Mirrors the interpreter's private Flags helper; the decoded loop must make
-// identical branch decisions.
+// The condition flags set by compares and IAddCC.
 struct Flags {
   bool lt = false;
   bool eq = false;
@@ -33,10 +32,9 @@ struct Flags {
   }
 };
 
-}  // namespace
-
-DecodedFunction decodeFunction(const ir::Function& fn,
-                               const arch::MachineConfig& machine) {
+/// Flattens `fn`; `machine` (null = no costs) supplies the dispatch costs.
+DecodedFunction decode(const ir::Function& fn,
+                       const arch::MachineConfig* machine) {
   DecodedFunction out;
   out.params = fn.params;
   out.retType = fn.retType;
@@ -45,10 +43,11 @@ DecodedFunction decodeFunction(const ir::Function& fn,
   out.maxIntReg = fn.maxIntReg();
   out.maxFpReg = fn.maxFpReg();
   out.numBlocks = fn.blocks.size();
+  if (machine != nullptr) out.machine = machine->name;
 
   // Flat start index of each block in layout order.  A branch to an empty
-  // block resolves to the first instruction after it, which is exactly where
-  // the interpreter's fall-through walk would land.
+  // block resolves to the first instruction after it, which is where
+  // falling through the empty block lands.
   std::unordered_map<int32_t, uint32_t> start;
   start.reserve(fn.blocks.size());
   uint32_t idx = 0;
@@ -63,7 +62,7 @@ DecodedFunction decodeFunction(const ir::Function& fn,
       DecodedInst d;
       d.inst = bb.insts[i];
       d.pcId = (static_cast<uint64_t>(bb.id) << 20) | i;
-      d.cost = instCost(d.inst, machine);
+      if (machine != nullptr) d.cost = instCost(d.inst, *machine);
       if (d.inst.op == Op::Jmp || d.inst.op == Op::Jcc) {
         auto it = start.find(d.inst.label);
         if (it == start.end())
@@ -76,12 +75,29 @@ DecodedFunction decodeFunction(const ir::Function& fn,
   return out;
 }
 
+}  // namespace
+
+DecodedFunction decodeFunction(const ir::Function& fn,
+                               const arch::MachineConfig& machine) {
+  return decode(fn, &machine);
+}
+
+DecodedFunction decodeFunction(const ir::Function& fn) {
+  return decode(fn, nullptr);
+}
+
 RunResult runDecoded(const DecodedFunction& dfn, Memory& mem,
                      std::span<const ArgValue> args, TimingModel* timing,
                      uint64_t maxDynInsts) {
+  if (timing != nullptr && dfn.machine != timing->machine().name)
+    throw std::invalid_argument(
+        dfn.machine.empty()
+            ? "runDecoded: timed run of a function decoded without costs"
+            : "runDecoded: function decoded for " + dfn.machine +
+                  ", timed on " + timing->machine().name);
   if (args.size() != dfn.params.size())
-    throw std::runtime_error("Interp::run: argument count mismatch");
-  if (dfn.empty()) throw std::runtime_error("Interp::run: empty function");
+    throw std::runtime_error("runDecoded: argument count mismatch");
+  if (dfn.empty()) throw std::runtime_error("runDecoded: empty function");
 
   const size_t nInt = std::max<size_t>(dfn.maxIntReg, ir::kVirtBase);
   const size_t nFp = std::max<size_t>(dfn.maxFpReg, ir::kVirtBase);
@@ -119,11 +135,12 @@ RunResult runDecoded(const DecodedFunction& dfn, Memory& mem,
 
   while (true) {
     if (pc >= dfn.insts.size())
-      throw std::runtime_error("Interp: fell off end of function");
+      throw std::runtime_error("runDecoded: fell off end of function");
     const DecodedInst& di = dfn.insts[pc];
     const ir::Inst& in = di.inst;
     if (++dyn > maxDynInsts)
-      throw std::runtime_error("Interp: dynamic instruction budget exceeded");
+      throw std::runtime_error(
+          "runDecoded: dynamic instruction budget exceeded");
     if (budget != nullptr) {
       if (budget->stepsLeft == 0)
         throw TimeoutError("evaluation exceeded its interpreter step budget");

@@ -14,8 +14,8 @@
 //    (what AMD's block-fetch technique amortizes).
 //
 // All methods take the current cycle and return data-ready/commit cycles;
-// the functional interpreter supplies addresses, so timing and semantics
-// stay decoupled.
+// the decoded engine (sim/decode.h) supplies addresses, so timing and
+// semantics stay decoupled.
 #pragma once
 
 #include <cstdint>

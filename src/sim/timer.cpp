@@ -1,22 +1,24 @@
 #include "sim/timer.h"
 
-#include "sim/interp.h"
-
 namespace ifko::sim {
 
 std::string_view contextName(TimeContext ctx) {
   return ctx == TimeContext::OutOfCache ? "out-of-cache" : "in-L2";
 }
 
-namespace {
+TimeResult timeKernel(const arch::MachineConfig& machine,
+                      const ir::Function& fn, const kernels::KernelSpec& spec,
+                      int64_t n, TimeContext ctx, uint64_t seed, int64_t loopN,
+                      const kernels::KernelData* tmpl) {
+  return timeKernel(machine, decodeFunction(fn, machine), spec, n, ctx, seed,
+                    loopN, tmpl);
+}
 
-// Shared operand setup + result assembly; only the execution engine differs
-// between the two overloads.
-template <typename RunFn>
-TimeResult timeKernelWith(const arch::MachineConfig& machine,
-                          const kernels::KernelSpec& spec, int64_t n,
-                          TimeContext ctx, uint64_t seed, int64_t loopN,
-                          const kernels::KernelData* tmpl, RunFn&& execute) {
+TimeResult timeKernel(const arch::MachineConfig& machine,
+                      const DecodedFunction& dfn,
+                      const kernels::KernelSpec& spec, int64_t n,
+                      TimeContext ctx, uint64_t seed, int64_t loopN,
+                      const kernels::KernelData* tmpl) {
   kernels::KernelData data =
       tmpl != nullptr ? tmpl->clone() : kernels::makeKernelData(spec, n, seed);
   MemSystem mem(machine);
@@ -33,7 +35,7 @@ TimeResult timeKernelWith(const arch::MachineConfig& machine,
   // trip count: the timed region is an exact prefix of the full run.
   if (loopN > 0) data.n = loopN;
   TimingModel timing(machine, mem);
-  RunResult run = execute(data, timing);
+  RunResult run = runDecoded(dfn, *data.mem, data.args(dfn.params), &timing);
 
   TimeResult out;
   out.cycles = timing.cycles();
@@ -42,31 +44,6 @@ TimeResult timeKernelWith(const arch::MachineConfig& machine,
   out.core = timing.stats();
   out.attr = timing.attribution();
   return out;
-}
-
-}  // namespace
-
-TimeResult timeKernel(const arch::MachineConfig& machine,
-                      const ir::Function& fn, const kernels::KernelSpec& spec,
-                      int64_t n, TimeContext ctx, uint64_t seed, int64_t loopN,
-                      const kernels::KernelData* tmpl) {
-  return timeKernelWith(machine, spec, n, ctx, seed, loopN, tmpl,
-                        [&](kernels::KernelData& data, TimingModel& timing) {
-                          Interp interp(fn, *data.mem, &timing);
-                          return interp.run(data.args(fn));
-                        });
-}
-
-TimeResult timeKernel(const arch::MachineConfig& machine,
-                      const DecodedFunction& dfn,
-                      const kernels::KernelSpec& spec, int64_t n,
-                      TimeContext ctx, uint64_t seed, int64_t loopN,
-                      const kernels::KernelData* tmpl) {
-  return timeKernelWith(machine, spec, n, ctx, seed, loopN, tmpl,
-                        [&](kernels::KernelData& data, TimingModel& timing) {
-                          return runDecoded(dfn, *data.mem, data.args(dfn.params),
-                                            &timing);
-                        });
 }
 
 }  // namespace ifko::sim

@@ -37,15 +37,8 @@ struct TimeResult {
   }
 };
 
-/// Times `fn` (a compiled kernel for `spec`) at length `n`.
-///
-/// `loopN` (0 = n) truncates the *iteration count* while the operands stay
-/// sized at `n`: the run is then an exact prefix of the full-length run —
-/// identical addresses, identical code — which is what the screen-then-
-/// confirm policy (search/evalpipeline.h) ranks candidates by.  `tmpl`, when
-/// non-null, is a pristine operand image for (spec, n, seed) that is cloned
-/// instead of re-generating the data; the clone is bit-identical to a fresh
-/// makeKernelData, just cheaper.
+/// Times `fn` (a compiled kernel for `spec`) at length `n`: decodes it for
+/// `machine`, then runs the DecodedFunction overload below.
 [[nodiscard]] TimeResult timeKernel(const arch::MachineConfig& machine,
                                     const ir::Function& fn,
                                     const kernels::KernelSpec& spec, int64_t n,
@@ -53,8 +46,14 @@ struct TimeResult {
                                     int64_t loopN = 0,
                                     const kernels::KernelData* tmpl = nullptr);
 
-/// Fast-path variant over the pre-decoded form (sim/decode.h).  Produces
-/// bit-identical results to the ir::Function overload for the same kernel.
+/// Times a function decoded for `machine` (sim/decode.h).
+///
+/// `loopN` (0 = n) truncates the *iteration count* while the operands stay
+/// sized at `n`: the run is then an exact prefix of the full-length run —
+/// identical addresses, identical code.  `tmpl`, when non-null, is a
+/// pristine operand image for (spec, n, seed) that is cloned instead of
+/// re-generating the data; the clone is bit-identical to a fresh
+/// makeKernelData, just cheaper.
 [[nodiscard]] TimeResult timeKernel(const arch::MachineConfig& machine,
                                     const DecodedFunction& dfn,
                                     const kernels::KernelSpec& spec, int64_t n,

@@ -152,10 +152,6 @@ InstCost instCost(const ir::Inst& inst, const arch::MachineConfig& cfg) {
   return cost;
 }
 
-void TimingModel::onInst(const InstEvent& ev) {
-  step(ev, instCost(*ev.inst, cfg_));
-}
-
 void TimingModel::step(const InstEvent& ev, const InstCost& cost) {
   const ir::Inst& inst = *ev.inst;
   ++stats_.insts;

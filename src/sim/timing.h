@@ -1,8 +1,8 @@
 // Out-of-order core timing model.
 //
-// Consumes the functional interpreter's instruction stream (as an
-// InstObserver) and produces a cycle count.  The model is a scoreboard with
-// the structural limits that matter for the paper's transforms:
+// Consumes the executed-instruction stream of sim::runDecoded (sim/decode.h)
+// and produces a cycle count.  The model is a scoreboard with the
+// structural limits that matter for the paper's transforms:
 //
 //  * issue width and ROB size (bounds memory-level parallelism, which is
 //    why software prefetch still matters on an OOO core);
@@ -25,11 +25,20 @@
 #include <vector>
 
 #include "arch/machine.h"
+#include "ir/function.h"
 #include "sim/budget.h"
-#include "sim/interp.h"
 #include "sim/memsys.h"
 
 namespace ifko::sim {
+
+/// What the timing model sees for each executed instruction.
+struct InstEvent {
+  const ir::Inst* inst = nullptr;
+  uint64_t addr = 0;         ///< effective address for memory ops, else 0
+  uint32_t accessBytes = 0;  ///< size of the memory access, 0 if none
+  bool taken = false;        ///< branch outcome (conditional branches)
+  uint64_t pcId = 0;         ///< stable id of the static instruction
+};
 
 /// The closed set of causes every simulated cycle is charged to.  Each
 /// instruction's advance of the completion front is partitioned along its
@@ -96,24 +105,23 @@ struct InstCost {
   bool setsFlags = false;   ///< ir::OpInfo::setsFlags
 };
 
-/// The cost table itself (shared by TimingModel::onInst and the decoder).
+/// The cost table itself (the decoder bakes it into every DecodedInst).
 [[nodiscard]] InstCost instCost(const ir::Inst& inst,
                                 const arch::MachineConfig& cfg);
 
-class TimingModel : public InstObserver {
+class TimingModel {
  public:
   TimingModel(const arch::MachineConfig& cfg, MemSystem& mem);
   /// The config is held by reference and must outlive the model.
   TimingModel(arch::MachineConfig&&, MemSystem&) = delete;
 
-  void onInst(const InstEvent& ev) override;
-
-  /// Fast-path entry for pre-decoded execution: identical semantics to
-  /// onInst, but non-virtual and with the dispatch cost already computed.
-  /// Produces bit-identical cycles/attribution to the observer path.
+  /// One executed instruction, with its precomputed dispatch cost.
   void onDecodedInst(const InstEvent& ev, const InstCost& cost) {
     step(ev, cost);
   }
+
+  /// The machine this model times (decoded costs must come from it).
+  [[nodiscard]] const arch::MachineConfig& machine() const { return cfg_; }
 
   /// Completion cycle of everything observed so far.
   [[nodiscard]] uint64_t cycles() const { return max_complete_; }
@@ -129,7 +137,7 @@ class TimingModel : public InstObserver {
   [[nodiscard]] const Attribution& attribution() const { return attr_; }
 
  private:
-  /// The shared per-instruction scoreboard update behind both entry points.
+  /// The per-instruction scoreboard update.
   void step(const InstEvent& ev, const InstCost& cost);
 
   [[nodiscard]] uint64_t readyOf(ir::Reg r) const {

@@ -139,8 +139,7 @@ TEST(HandKernels, IamaxSimdKeepsFirstIndexOnTies) {
   auto data = kernels::makeKernelData(spec, 32);
   data.mem->write<double>(data.xAddr + 5 * 8, -3.5);
   data.mem->write<double>(data.xAddr + 13 * 8, 3.5);
-  sim::Interp interp(fn, *data.mem);
-  auto r = interp.run(data.args(fn));
+  auto r = sim::runDecoded(sim::decodeFunction(fn), *data.mem, data.args(fn));
   ASSERT_TRUE(r.intResult.has_value());
   EXPECT_EQ(*r.intResult, 5);
 }

@@ -201,8 +201,7 @@ TEST(RegAlloc, HighPressureSpillsAndStaysCorrect) {
     EXPECT_GT(ra.spillSlots, 0);
     EXPECT_TRUE(ir::verify(copy).empty());
     sim::Memory mem(1 << 16);
-    sim::Interp interp(copy, mem);
-    auto r = interp.run({});
+    auto r = sim::runDecoded(sim::decodeFunction(copy), mem, {});
     ASSERT_TRUE(r.fpResult.has_value());
     EXPECT_DOUBLE_EQ(*r.fpResult, 210.0);  // 1+2+...+20
   }

@@ -1,8 +1,8 @@
-// The evaluation fast path's contract: every shortcut the pipeline takes —
-// pre-decoded execution, prefix compile patching, operand-template cloning,
-// the shared differential-tester reference, truncated-prefix screening
-// runs — is bit-identical to the slow path it replaces, and a full tuning search picks the same winners with every
-// combination of the switches.
+// The evaluation pipeline's contract: every shortcut it takes — decoding
+// once per candidate, prefix compile patching, operand-template cloning,
+// the shared differential-tester reference, truncated-prefix runs — is
+// bit-identical to doing the work from scratch, and a full tuning search
+// picks the same winners whether or not candidates are decoded up front.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,26 +27,17 @@
 namespace ifko {
 namespace {
 
-search::SearchConfig testConfig(bool predecode, bool screen,
-                                sim::TimeContext ctx) {
+search::SearchConfig testConfig(bool predecode, sim::TimeContext ctx) {
   search::SearchConfig cfg = search::SearchConfig::smoke();
   cfg.n = 4096;
   cfg.context = ctx;
   cfg.predecode = predecode;
-  cfg.reusePrefixCompiles = predecode;
-  cfg.reuseKernelData = predecode;
-  // Identity-safe screening: a generous margin and a screen window large
-  // enough to rank faithfully at this n.  2 * screenN < n must hold.
-  cfg.screenN = screen ? 1024 : 0;
-  cfg.screenMargin = 1.25;
   return cfg;
 }
 
-/// Winner invariance, the headline contract: all 14 registry kernels, both
-/// timing contexts, pre-decode on/off x screen-then-confirm on/off — the
-/// tuned parameters and their full-size cycle counts never change.  (The
-/// fast path and the screening policy only change how long the answer
-/// takes, never the answer.)
+/// Winner invariance: all 14 registry kernels, both timing contexts,
+/// candidates decoded in the compile memo or inside the timed call — the
+/// tuned parameters and their cycle counts never change.
 TEST(EvalPipelineInvariance, WinnersIdenticalAcrossAllModes) {
   const auto machine = arch::p4e();
   for (sim::TimeContext ctx :
@@ -54,48 +45,23 @@ TEST(EvalPipelineInvariance, WinnersIdenticalAcrossAllModes) {
     for (const auto& spec : kernels::allKernels()) {
       search::TuneResult base;
       for (bool predecode : {false, true}) {
-        for (bool screen : {false, true}) {
-          search::SearchConfig cfg = testConfig(predecode, screen, ctx);
-          search::TuneResult r = search::tuneKernel(spec, machine, cfg);
-          ASSERT_TRUE(r.ok) << spec.name();
-          if (!base.ok) {
-            base = r;
-            continue;
-          }
-          const std::string label = spec.name() + " ctx=" +
-                                    std::string(sim::contextName(ctx)) +
-                                    " predecode=" + (predecode ? "1" : "0") +
-                                    " screen=" + (screen ? "1" : "0");
-          EXPECT_EQ(opt::formatTuningSpec(r.best),
-                    opt::formatTuningSpec(base.best))
-              << label;
-          EXPECT_EQ(r.bestCycles, base.bestCycles) << label;
-          EXPECT_EQ(r.defaultCycles, base.defaultCycles) << label;
+        search::SearchConfig cfg = testConfig(predecode, ctx);
+        search::TuneResult r = search::tuneKernel(spec, machine, cfg);
+        ASSERT_TRUE(r.ok) << spec.name();
+        if (!base.ok) {
+          base = r;
+          continue;
         }
+        const std::string label = spec.name() + " ctx=" +
+                                  std::string(sim::contextName(ctx)) +
+                                  " predecode=" + (predecode ? "1" : "0");
+        EXPECT_EQ(opt::formatTuningSpec(r.best),
+                  opt::formatTuningSpec(base.best))
+            << label;
+        EXPECT_EQ(r.bestCycles, base.bestCycles) << label;
+        EXPECT_EQ(r.defaultCycles, base.defaultCycles) << label;
+        EXPECT_EQ(r.evaluations, base.evaluations) << label;
       }
-    }
-  }
-}
-
-/// The decoded executor produces the same cycles, instruction counts,
-/// memory stats, and per-cause attribution as interpreting the
-/// ir::Function — the contract sim/decode.h states.
-TEST(EvalPipelineDecode, DecodedRunMatchesInterpreter) {
-  const auto machine = arch::p4e();
-  for (const auto& spec : kernels::allKernels()) {
-    fko::CompileOptions opts;
-    opts.tuning.unroll = 4;
-    auto compiled = fko::compileKernel(spec.hilSource(), opts, machine);
-    ASSERT_TRUE(compiled.ok) << spec.name();
-    sim::DecodedFunction dfn = sim::decodeFunction(compiled.fn, machine);
-    for (sim::TimeContext ctx :
-         {sim::TimeContext::OutOfCache, sim::TimeContext::InL2}) {
-      auto slow = sim::timeKernel(machine, compiled.fn, spec, 2048, ctx);
-      auto fast = sim::timeKernel(machine, dfn, spec, 2048, ctx);
-      EXPECT_EQ(slow.cycles, fast.cycles) << spec.name();
-      EXPECT_EQ(slow.dynInsts, fast.dynInsts) << spec.name();
-      EXPECT_EQ(slow.mem, fast.mem) << spec.name();
-      EXPECT_EQ(slow.attr, fast.attr) << spec.name();
     }
   }
 }
@@ -160,7 +126,7 @@ TEST(EvalPipelineData, ClonedKernelDataMatchesFresh) {
   EXPECT_EQ(without.mem, with.mem);
 }
 
-/// Truncated-prefix screening runs: loopN = n reproduces the full run
+/// Truncated-prefix runs: loopN = n reproduces the full run
 /// exactly, and shorter prefixes are strictly cheaper and monotone (a
 /// longer prefix of the same deterministic run can only add cycles).
 TEST(EvalPipelineScreen, TruncatedPrefixRunsAreExactPrefixes) {
@@ -189,78 +155,6 @@ TEST(EvalPipelineScreen, TruncatedPrefixRunsAreExactPrefixes) {
   auto again = sim::timeKernel(machine, compiled.fn, spec, n,
                                sim::TimeContext::OutOfCache, 42, 512);
   EXPECT_EQ(head.cycles, again.cycles);
-}
-
-/// deltaScreen subtracts the shared head from the containing tail and
-/// combines the attempt counts (minus the double-counted first try).
-TEST(EvalPipelineScreen, DeltaScreenArithmetic) {
-  search::EvalOutcome head{100, search::EvalOutcome::Status::Timed};
-  head.attempts = 2;
-  search::EvalOutcome tail{260, search::EvalOutcome::Status::Timed};
-  tail.attempts = 1;
-  search::EvalOutcome d = search::deltaScreen(head, tail);
-  EXPECT_EQ(d.cycles, 160u);
-  EXPECT_EQ(d.status, search::EvalOutcome::Status::Timed);
-  EXPECT_EQ(d.attempts, 2);
-}
-
-TEST(EvalPipelineScreen, ScreeningAppliesGates) {
-  search::SearchConfig cfg;
-  cfg.n = 4096;
-  cfg.screenN = 0;
-  EXPECT_FALSE(search::screeningApplies(cfg, 8));  // off by default
-  cfg.screenN = 512;
-  EXPECT_TRUE(search::screeningApplies(cfg, search::kScreenMinCohort));
-  EXPECT_FALSE(search::screeningApplies(cfg, search::kScreenMinCohort - 1));
-  cfg.screenN = 2048;  // 2 * screenN == n: the tail is no cheaper than full
-  EXPECT_FALSE(search::screeningApplies(cfg, 8));
-}
-
-TEST(EvalPipelineScreen, ScreenSurvivorsCutoffAndIncumbent) {
-  search::SearchConfig cfg;
-  cfg.screenMargin = 1.10;
-  using S = search::EvalOutcome::Status;
-  std::vector<search::EvalOutcome> screens = {
-      {100, S::Timed}, {109, S::Timed}, {112, S::Timed}, {0, S::CompileFail}};
-  auto adv = search::screenSurvivors(cfg, screens);
-  ASSERT_EQ(adv.size(), 4u);
-  EXPECT_TRUE(adv[0]);   // the best screen always advances
-  EXPECT_TRUE(adv[1]);   // within 10%
-  EXPECT_FALSE(adv[2]);  // outside the margin
-  EXPECT_FALSE(adv[3]);  // a failed screen is already the final verdict
-
-  // A known incumbent tightens the cutoff below the cohort's own best —
-  // even the cohort's best screen is pruned when it cannot beat the
-  // incumbent (100 > 90 * 1.10): a whole batch of losers costs only
-  // screens, never a full-size run.
-  auto tighter = search::screenSurvivors(cfg, screens, /*incumbentScreen=*/90);
-  EXPECT_FALSE(tighter[0]);
-  EXPECT_FALSE(tighter[1]);
-  EXPECT_FALSE(tighter[2]);
-  // A looser incumbent leaves the cohort cutoff in charge.
-  auto loose = search::screenSurvivors(cfg, screens, /*incumbentScreen=*/200);
-  EXPECT_TRUE(loose[0]);
-  EXPECT_TRUE(loose[1]);
-  EXPECT_FALSE(loose[2]);
-
-  // All screens failed: nothing advances (the failures stand).
-  std::vector<search::EvalOutcome> failed = {{0, S::TesterFail},
-                                             {0, S::CompileFail}};
-  auto none = search::screenSurvivors(cfg, failed);
-  EXPECT_FALSE(none[0]);
-  EXPECT_FALSE(none[1]);
-}
-
-/// The ScreenedOut status is part of the trace/cache vocabulary.
-TEST(EvalPipelineScreen, ScreenedOutStatusRoundTrips) {
-  using S = search::EvalOutcome::Status;
-  EXPECT_EQ(search::evalStatusName(S::ScreenedOut), "screened");
-  auto parsed = search::parseEvalStatus("screened");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, S::ScreenedOut);
-  search::EvalOutcome o{0, S::ScreenedOut};
-  EXPECT_FALSE(o.usable());
-  EXPECT_FALSE(o.hardFailure());
 }
 
 /// A deliberately broken candidate: every FP store writes one element past

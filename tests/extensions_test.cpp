@@ -52,11 +52,11 @@ TEST(CiscIndexing, SharesOneIndexRegister) {
   // The CISC version indexes both arrays through one register: it executes
   // one fewer integer add per main-loop iteration.
   auto data = kernels::makeKernelData(spec, 1024);
-  sim::Interp pi(p.fn, *data.mem);
-  auto pr = pi.run(data.args(p.fn));
+  auto pr = sim::runDecoded(sim::decodeFunction(p.fn), *data.mem,
+                            data.args(p.fn));
   auto data2 = kernels::makeKernelData(spec, 1024);
-  sim::Interp ci(c.fn, *data2.mem);
-  auto cr = ci.run(data2.args(c.fn));
+  auto cr = sim::runDecoded(sim::decodeFunction(c.fn), *data2.mem,
+                            data2.args(c.fn));
   EXPECT_LT(cr.dynInsts, pr.dynInsts);
 }
 

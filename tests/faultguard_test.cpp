@@ -137,22 +137,13 @@ TEST(ScopedEvalBudget, InterpreterChargesTheBudget) {
   // A real (uninjected) evaluation whose simulated work exceeds the
   // deadline must time out via the interpreter's step accounting.
   KernelSpec spec{BlasOp::Dot, ir::Scal::F64};
-  std::string src = spec.hilSource();
   auto machine = arch::p4e();
-  auto analysis = fko::analyzeKernel(src, machine);
-  auto lowered = fko::lowerKernel(src);
   SearchConfig cfg = SearchConfig::smoke();
   cfg.n = 2'000'000;  // far more than 1 ms of simulated work
   cfg.evalTimeoutMs = 1;
   cfg.maxEvalAttempts = 1;
-  EvalRequest req;
-  req.hilSource = &src;
-  req.lowered = &lowered;
-  req.spec = &spec;
-  req.analysis = &analysis;
-  req.machine = &machine;
-  req.config = &cfg;
-  EvalOutcome o = guardedEvaluateCandidate(req);
+  EvalPipeline pipeline(spec.hilSource(), &spec, machine, cfg);
+  EvalOutcome o = guardedEvaluateCandidate(pipeline.request({}));
   EXPECT_EQ(o.status, EvalOutcome::Status::Timeout);
   EXPECT_EQ(o.cycles, 0u);
 }
@@ -161,20 +152,12 @@ TEST(ScopedEvalBudget, InterpreterChargesTheBudget) {
 
 struct GuardFixture : ::testing::Test {
   KernelSpec spec{BlasOp::Dot, ir::Scal::F64};
-  std::string src = spec.hilSource();
   arch::MachineConfig machine = arch::p4e();
-  fko::AnalysisReport analysis = fko::analyzeKernel(src, machine);
-  fko::LoweredKernel lowered = fko::lowerKernel(src);
   SearchConfig cfg = SearchConfig::smoke();
+  EvalPipeline pipeline{spec.hilSource(), &spec, machine, cfg};
 
   EvalRequest request(FaultInjector* injector = nullptr) {
-    EvalRequest req;
-    req.hilSource = &src;
-    req.lowered = &lowered;
-    req.spec = &spec;
-    req.analysis = &analysis;
-    req.machine = &machine;
-    req.config = &cfg;
+    EvalRequest req = pipeline.request({});
     req.injector = injector;
     return req;
   }
@@ -195,19 +178,6 @@ TEST_F(GuardFixture, CleanEvaluationPassesThrough) {
   EXPECT_EQ(o.attempts, 1);
   EXPECT_TRUE(o.usable());
   EXPECT_FALSE(o.hardFailure());
-}
-
-TEST_F(GuardFixture, DeprecatedShimMatchesRequestForm) {
-  // The loose-parameter overload survives one release as a shim; it must be
-  // an exact repackaging of the EvalRequest form.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EvalOutcome viaShim = guardedEvaluateCandidate(src, lowered, &spec, analysis,
-                                                 machine, cfg, {});
-#pragma GCC diagnostic pop
-  EvalOutcome viaReq = guardedEvaluateCandidate(request());
-  EXPECT_EQ(viaShim.status, viaReq.status);
-  EXPECT_EQ(viaShim.cycles, viaReq.cycles);
 }
 
 TEST_F(GuardFixture, PersistentCrashExhaustsRetries) {
@@ -441,6 +411,8 @@ TEST(EvalStatusNames, RoundTrip) {
     EXPECT_EQ(*parsed, s);
   }
   EXPECT_FALSE(parseEvalStatus("nonsense").has_value());
+  // Screen-then-confirm and its "screened" status were removed.
+  EXPECT_FALSE(parseEvalStatus("screened").has_value());
 }
 
 TEST(FailureReplay, WarmRunReproducesColdOutcomesWithoutEvaluating) {

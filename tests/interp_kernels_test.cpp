@@ -9,13 +9,15 @@
 #include <thread>
 #include <vector>
 
+#include "arch/machine.h"
 #include "hil/lower.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
 #include "kernels/registry.h"
 #include "kernels/tester.h"
 #include "sim/decode.h"
-#include "sim/interp.h"
+#include "sim/memsys.h"
+#include "sim/timing.h"
 
 namespace ifko {
 namespace {
@@ -224,30 +226,28 @@ TEST(Interp, DynInstBudgetStopsRunawayLoop) {
   ir::Builder b(fn, b0);
   b.jmp(b0);
   sim::Memory mem(4096);
-  sim::Interp interp(fn, mem, nullptr, /*maxDynInsts=*/1000);
-  EXPECT_THROW(interp.run({}), std::runtime_error);
+  EXPECT_THROW(sim::runDecoded(sim::decodeFunction(fn), mem, {}, nullptr,
+                               /*maxDynInsts=*/1000),
+               std::runtime_error);
 }
 
 TEST(Interp, ObserverSeesEveryInstruction) {
-  struct Counter : sim::InstObserver {
-    uint64_t count = 0;
-    uint64_t memOps = 0;
-    void onInst(const sim::InstEvent& ev) override {
-      ++count;
-      if (ev.accessBytes > 0) ++memOps;
-    }
-  };
   kernels::KernelSpec spec{kernels::BlasOp::Copy, ir::Scal::F64};
   DiagnosticEngine d;
   auto fn = hil::compileHil(spec.hilSource(), d);
   ASSERT_TRUE(fn.has_value());
   auto data = kernels::makeKernelData(spec, 16);
-  Counter obs;
-  sim::Interp interp(*fn, *data.mem, &obs);
-  auto r = interp.run(data.args(*fn));
-  EXPECT_EQ(obs.count, r.dynInsts);
+  const arch::MachineConfig m = arch::p4e();
+  sim::MemSystem msys(m);
+  sim::TimingModel timing(m, msys);
+  auto r = sim::runDecoded(sim::decodeFunction(*fn, m), *data.mem,
+                           data.args(*fn), &timing);
+  // The unoptimized copy at n=16 executes 118 instructions, and the timing
+  // model sees each of them.
+  EXPECT_EQ(r.dynInsts, 118u);
+  EXPECT_EQ(timing.stats().insts, r.dynInsts);
   // copy does one load + one store per element
-  EXPECT_EQ(obs.memOps, 32u);
+  EXPECT_EQ(msys.stats().loads + msys.stats().stores, 32u);
 }
 
 TEST(Interp, VectorOpsRoundTrip) {
@@ -268,8 +268,8 @@ TEST(Interp, VectorOpsRoundTrip) {
   uint64_t addr = mem.allocate(16, 16);
   mem.write<double>(addr, 1.5);
   mem.write<double>(addr + 8, 2.0);
-  sim::Interp interp(fn, mem);
-  auto r = interp.run(std::vector<sim::ArgValue>{static_cast<int64_t>(addr)});
+  auto r = sim::runDecoded(sim::decodeFunction(fn), mem,
+                           std::vector<sim::ArgValue>{static_cast<int64_t>(addr)});
   EXPECT_DOUBLE_EQ(mem.read<double>(addr), 3.0);
   EXPECT_DOUBLE_EQ(mem.read<double>(addr + 8), 4.0);
   ASSERT_TRUE(r.fpResult.has_value());
@@ -293,8 +293,7 @@ TEST(Interp, VectorMaskAndSelect) {
   (void)sum;
 
   sim::Memory mem(4096);
-  sim::Interp interp(fn, mem);
-  auto r = interp.run({});
+  auto r = sim::runDecoded(sim::decodeFunction(fn), mem, {});
   ASSERT_TRUE(r.intResult.has_value());
   EXPECT_EQ(*r.intResult, 0b1100);
 }

@@ -1,6 +1,6 @@
 // The batch-tuning orchestrator: parallel evaluation must reproduce the
-// serial search bit for bit, the persistent cache must round-trip, and the
-// trace must be well-formed JSONL.
+// one-worker search bit for bit, the persistent cache must round-trip, and
+// the trace must be well-formed JSONL.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,6 +11,7 @@
 
 #include "arch/machine.h"
 #include "search/orchestrator.h"
+#include "support/hash.h"
 #include "support/json.h"
 
 namespace ifko::search {
@@ -60,20 +61,6 @@ TEST(Orchestrator, ParallelMatchesSerialExactly) {
   EXPECT_EQ(ra.result.defaultCycles, rb.result.defaultCycles);
   EXPECT_EQ(ra.result.evaluations, rb.result.evaluations);
   EXPECT_EQ(ra.result.ledger, rb.result.ledger);
-}
-
-TEST(Orchestrator, MatchesPlainTuneKernel) {
-  // The orchestrated evaluator is a drop-in for the serial path.
-  KernelSpec spec{BlasOp::Asum, ir::Scal::F32};
-  auto direct = tuneKernel(spec, arch::p4e(), smokeConfig());
-  OrchestratorConfig oc;
-  oc.search = smokeConfig(4);
-  Orchestrator orch(arch::p4e(), oc);
-  auto viaOrch = orch.tune(jobFor(spec));
-  ASSERT_TRUE(direct.ok && viaOrch.result.ok);
-  EXPECT_EQ(direct.best, viaOrch.result.best);
-  EXPECT_EQ(direct.bestCycles, viaOrch.result.bestCycles);
-  EXPECT_EQ(direct.ledger, viaOrch.result.ledger);
 }
 
 TEST(Orchestrator, CacheRoundTripSecondRunAllHits) {
@@ -209,6 +196,60 @@ TEST(EvalCacheTest, SkipsCorruptLines) {
   auto hit = cache.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->cycles, 777u);
+  std::remove(path.c_str());
+}
+
+TEST(EvalCacheTest, ScreenedLineIsDamageAndItsCandidateIsReEvaluated) {
+  // Caches written by screen-then-confirm (since removed) could hold
+  // "status":"screened" lines.  Such a line no longer parses: it is skipped
+  // and counted as damage, and its candidate is evaluated again at full
+  // size, so the search matches a cold run exactly.
+  KernelSpec spec{BlasOp::Scal, ir::Scal::F64};
+  const SearchConfig cfg = smokeConfig();
+  OrchestratorConfig coldCfg;
+  coldCfg.search = cfg;
+  Orchestrator coldOrch(arch::p4e(), coldCfg);
+  const KernelOutcome cold = coldOrch.tune(jobFor(spec));
+  ASSERT_TRUE(cold.result.ok) << cold.result.error;
+
+  const EvalKey defaultsKey{hashHex(spec.hilSource()),
+                            arch::p4e().name,
+                            std::string(sim::contextName(cfg.context)),
+                            cfg.n,
+                            cfg.seed,
+                            cfg.testerN,
+                            opt::formatTuningSpec(cold.result.defaults)};
+  std::string path = tmpFile("evalcache_screened.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "{\"source\":\"" << defaultsKey.sourceHash << "\",\"machine\":\""
+        << defaultsKey.machine << "\",\"context\":\"" << defaultsKey.context
+        << "\",\"n\":" << defaultsKey.n << ",\"seed\":" << defaultsKey.seed
+        << ",\"tester_n\":" << defaultsKey.testerN << ",\"params\":\""
+        << defaultsKey.params << "\",\"cycles\":0,\"status\":\"screened\"}\n";
+  }
+  OrchestratorConfig oc;
+  oc.search = cfg;
+  oc.cachePath = path;
+  std::string err;
+  Orchestrator orch(arch::p4e(), oc, &err);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_EQ(orch.cache().size(), 0u);
+  EXPECT_EQ(orch.cache().damagedLines(), 1u);
+
+  const KernelOutcome warm = orch.tune(jobFor(spec));
+  ASSERT_TRUE(warm.result.ok) << warm.result.error;
+  EXPECT_EQ(warm.cacheHits, cold.cacheHits);
+  EXPECT_EQ(warm.cacheMisses, cold.cacheMisses);
+  EXPECT_EQ(warm.result.evaluations, cold.result.evaluations);
+  EXPECT_EQ(warm.result.defaultCycles, cold.result.defaultCycles);
+  EXPECT_EQ(warm.result.best, cold.result.best);
+  EXPECT_EQ(warm.result.bestCycles, cold.result.bestCycles);
+  // The re-evaluated DEFAULTS point is now cached under the same key.
+  auto rec = orch.cache().lookup(defaultsKey);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->status, EvalOutcome::Status::Timed);
+  EXPECT_EQ(rec->cycles, cold.result.defaultCycles);
   std::remove(path.c_str());
 }
 

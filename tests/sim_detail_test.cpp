@@ -5,12 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arch/machine.h"
 #include "ir/builder.h"
-#include "sim/interp.h"
+#include "sim/decode.h"
 #include "sim/memsys.h"
 #include "sim/timing.h"
 #include "support/rng.h"
@@ -128,8 +129,8 @@ TEST(IsaOps, VExtExtractsLanes) {
   for (int l = 0; l < 4; ++l)
     mem.write<float>(addr + static_cast<uint64_t>(l) * 4,
                      static_cast<float>(10 + l));
-  Interp interp(fn, mem);
-  auto r = interp.run(std::vector<ArgValue>{static_cast<int64_t>(addr)});
+  auto r = runDecoded(decodeFunction(fn), mem,
+                      std::vector<ArgValue>{static_cast<int64_t>(addr)});
   ASSERT_TRUE(r.fpResult.has_value());
   EXPECT_FLOAT_EQ(static_cast<float>(*r.fpResult), 12.0f);
 }
@@ -144,8 +145,7 @@ TEST(IsaOps, FToITruncates) {
   b.retVal(i);
   fn.retType = ir::RetType::Int;
   Memory mem(4096);
-  Interp interp(fn, mem);
-  auto r = interp.run({});
+  auto r = runDecoded(decodeFunction(fn), mem, {});
   ASSERT_TRUE(r.intResult.has_value());
   EXPECT_EQ(*r.intResult, 41);  // truncation, not rounding
 }
@@ -166,11 +166,39 @@ TEST(IsaOps, TouchFetchesWithoutBlocking) {
 
   Memory mem(1 << 16);
   uint64_t addr = mem.allocate(64, 64);
-  Interp interp(fn, mem, &timing);
-  interp.run(std::vector<ArgValue>{static_cast<int64_t>(addr)});
+  runDecoded(decodeFunction(fn, m), mem,
+             std::vector<ArgValue>{static_cast<int64_t>(addr)}, &timing);
   // Touch completes immediately (+1) while the line fill proceeds.
   EXPECT_LT(timing.cycles(), static_cast<uint64_t>(m.memLatency));
   EXPECT_EQ(msys.stats().loadMissMem, 1u);
+}
+
+TEST(Decode, TimedRunNeedsTheTimingModelsCosts) {
+  // A timed run must use the costs of the machine that times it: a function
+  // decoded without costs, or with another machine's, is rejected before
+  // any instruction runs.
+  ir::Function fn;
+  fn.name = "one";
+  ir::Builder b(fn, fn.addBlock());
+  (void)b.fldi(ir::Scal::F64, 1.0);
+  b.ret();
+  const arch::MachineConfig p4e = arch::p4e();
+  MemSystem msys(p4e);
+  TimingModel timing(p4e, msys);
+  Memory mem(4096);
+  EXPECT_THROW(runDecoded(decodeFunction(fn), mem, {}, &timing),
+               std::invalid_argument);
+  EXPECT_THROW(runDecoded(decodeFunction(fn, arch::opteron()), mem, {},
+                          &timing),
+               std::invalid_argument);
+  EXPECT_EQ(timing.stats().insts, 0u);
+  // Untimed, either decoding runs; timed by its own machine, it counts.
+  EXPECT_EQ(runDecoded(decodeFunction(fn), mem, {}).dynInsts, 2u);
+  EXPECT_EQ(runDecoded(decodeFunction(fn, arch::opteron()), mem, {}).dynInsts,
+            2u);
+  EXPECT_EQ(runDecoded(decodeFunction(fn, p4e), mem, {}, &timing).dynInsts,
+            2u);
+  EXPECT_EQ(timing.stats().insts, 2u);
 }
 
 TEST(IsaOps, TouchSurvivesDeadCodeElimination) {

@@ -231,8 +231,7 @@ uint64_t cyclesOf(const ir::Function& fn, const MachineConfig& m) {
   MemSystem mem(m);
   TimingModel t(m, mem);
   Memory data(4096);
-  Interp interp(fn, data, &t);
-  interp.run({});
+  runDecoded(decodeFunction(fn, m), data, {}, &t);
   return t.cycles();
 }
 
