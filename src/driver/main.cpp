@@ -131,7 +131,6 @@
 #include "search/resume.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
-#include "support/hash.h"
 #include "support/json.h"
 #include "support/str.h"
 #include "support/table.h"
@@ -337,9 +336,15 @@ Options parseOptions(int argc, char** argv, int first) {
         o.faultPlan = *plan;
       }
     } else if (auto v = value("--context=")) {
-      o.context = *v == "inl2" ? sim::TimeContext::InL2
-                               : sim::TimeContext::OutOfCache;
-      o.contextFlag = *v;
+      auto ctx = sim::parseContextFlag(*v);
+      if (!ctx.has_value()) {
+        std::fprintf(stderr, "unknown context '%s' (want ooc|inl2)\n",
+                     v->c_str());
+        o.ok = false;
+      } else {
+        o.context = *ctx;
+        o.contextFlag = *v;
+      }
     } else if (a == "--dump-ir") {
       o.dumpIr = true;
     } else if (a == "--extensions") {
@@ -411,15 +416,6 @@ std::string faultSummary(const search::FailureCounts& f) {
 }
 
 // --- wisdom plumbing for tune/tune-all --------------------------------------
-
-wisdom::WisdomKey wisdomKeyFor(const std::string& src, const Options& o) {
-  wisdom::WisdomKey key;
-  key.sourceHash = hashHex(src);
-  key.machine = o.machine.name;
-  key.context = std::string(sim::contextName(o.context));
-  key.nClass = wisdom::nClassFor(o.n);
-  return key;
-}
 
 void loadWisdomWarn(wisdom::WisdomStore& store, const std::string& path,
                     const char* who) {
@@ -519,24 +515,18 @@ int cmdTune(const std::string& path, const std::string& src, const Options& o) {
   wisdom::WisdomKey wkey;
   if (!o.wisdomPath.empty()) {
     loadWisdomWarn(wis, o.wisdomPath, "tune");
-    wkey = wisdomKeyFor(src, o);
+    wkey = wisdom::keyFor(src, o.machine, o.context, o.n);
     // Deferred until the DEFAULTS point is timed, so the lookup can rank
     // fallback candidates by similarity to this kernel's own attribution
     // vector (the probe) instead of by raw N-class distance.
     job.warmStartProvider = [&wis, wkey](const search::EvalOutcome& def)
         -> std::optional<opt::TuningParams> {
-      std::optional<wisdom::AttrShares> probe;
-      if (def.counters.has_value())
-        probe = wisdom::attrSharesFrom(*def.counters);
-      const wisdom::WisdomMatch m =
-          wis.find(wkey, probe.has_value() ? &*probe : nullptr);
-      if (!m.hit()) return std::nullopt;
-      const opt::TuningSpec seed = opt::parseTuningSpec(m.record->params);
-      if (!seed.ok) return std::nullopt;
+      const auto warm = wisdom::findWarmStart(wis, wkey, def);
+      if (!warm.has_value()) return std::nullopt;
       std::printf("wisdom: warm start (%s): %s\n",
-                  std::string(wisdom::matchKindName(m.kind)).c_str(),
-                  m.record->params.c_str());
-      return seed.params;
+                  std::string(wisdom::matchKindName(warm->match.kind)).c_str(),
+                  warm->match.record->params.c_str());
+      return warm->params;
     };
   }
 
@@ -825,27 +815,21 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
     loadWisdomWarn(wis, o.wisdomPath, "tune-all");
     size_t warmStarts = 0;
     for (auto& job : jobs) {
-      wisdom::WisdomKey key = wisdomKeyFor(job.hilSource, o);
+      wisdom::WisdomKey key =
+          wisdom::keyFor(job.hilSource, o.machine, o.context, o.n);
       if (wis.find(key).hit()) ++warmStarts;
       // Deferred lookup: the kernel's DEFAULTS attribution becomes the
       // similarity probe, and later kernels also see records written back
       // by earlier ones in this same run.
-      job.warmStartProvider = [&wis, key](const search::EvalOutcome& def)
-          -> std::optional<opt::TuningParams> {
-        std::optional<wisdom::AttrShares> probe;
-        if (def.counters.has_value())
-          probe = wisdom::attrSharesFrom(*def.counters);
-        const wisdom::WisdomMatch m =
-            wis.find(key, probe.has_value() ? &*probe : nullptr);
-        if (!m.hit()) return std::nullopt;
-        const opt::TuningSpec seed = opt::parseTuningSpec(m.record->params);
-        if (!seed.ok) return std::nullopt;
-        return seed.params;
+      job.warmStartProvider = [&wis, key](const search::EvalOutcome& def) {
+        const auto warm = wisdom::findWarmStart(wis, key, def);
+        return warm.has_value() ? std::optional(warm->params) : std::nullopt;
       };
       wkeyByName.emplace(job.name, std::move(key));
     }
     for (const auto& job : doneJobs)
-      wkeyByName.emplace(job.name, wisdomKeyFor(job.hilSource, o));
+      wkeyByName.emplace(job.name, wisdom::keyFor(job.hilSource, o.machine,
+                                                  o.context, o.n));
     std::fprintf(stderr, "wisdom: warm-starting %zu of %zu kernels from %s\n",
                  warmStarts, jobs.size(), o.wisdomPath.c_str());
   }

@@ -1,9 +1,7 @@
 #include "search/faultguard.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
-#include <thread>
 
 #include "sim/budget.h"
 #include "support/rng.h"
@@ -178,11 +176,6 @@ EvalOutcome guardedEvaluateCandidate(const EvalRequest& req) {
       last = {0, EvalOutcome::Status::Crash};
     }
     last.attempts = attempt;
-    if (attempt < maxAttempts && config.retryBackoffMs > 0) {
-      int64_t ms = std::min<int64_t>(config.retryBackoffMs << (attempt - 1),
-                                     1000);
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    }
   }
   return last;
 }

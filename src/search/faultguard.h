@@ -14,9 +14,9 @@
 //   * every exception is caught and classified — sim::TimeoutError becomes
 //     Timeout, anything else becomes Crash — so a throwing candidate can
 //     never unwind into a worker thread (std::terminate) or the search;
-//   * hard failures (Timeout/Crash) are retried with bounded exponential
-//     backoff, because they may be transient; deterministic rejections
-//     (CompileFail/TesterFail) are not.
+//   * hard failures (Timeout/Crash) are retried up to
+//     SearchConfig::maxEvalAttempts, because they may be transient;
+//     deterministic rejections (CompileFail/TesterFail) are not.
 //
 // FaultPlan/FaultInjector make that machinery testable: a deterministic,
 // seedable schedule of injected crash/hang/tester faults applied at the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "search/strategy/strategy.h"
 
 namespace ifko::search {
 
@@ -27,9 +26,6 @@ std::optional<EvalOutcome::Status> parseEvalStatus(std::string_view name) {
     if (evalStatusName(s) == name) return s;
   return std::nullopt;
 }
-
-void Evaluator::onDimensionEnd(const std::string&, uint64_t,
-                               const opt::TuningParams&) {}
 
 opt::TuningParams fkoDefaults(const fko::AnalysisReport& report,
                               const arch::MachineConfig& machine) {
@@ -83,19 +79,6 @@ std::vector<std::string> paramsRow(const opt::TuningParams& params,
   row.push_back(std::to_string(params.unroll) + ":" +
                 std::to_string(params.accumExpand > 1 ? params.accumExpand : 0));
   return row;
-}
-
-TuneResult tuneKernel(const kernels::KernelSpec& spec,
-                      const arch::MachineConfig& machine,
-                      const SearchConfig& config) {
-  return tuneKernelWithStrategy(spec, machine, config, StrategyKind::Line, {});
-}
-
-TuneResult tuneSource(const std::string& hilSource,
-                      const arch::MachineConfig& machine,
-                      const SearchConfig& config) {
-  return tuneSourceWithStrategy(hilSource, machine, config, StrategyKind::Line,
-                                {});
 }
 
 }  // namespace ifko::search

@@ -27,11 +27,11 @@ struct QuarantineSignal {
 
 }  // namespace
 
-/// The orchestrated backend: consults the shared EvalCache, fans cache
-/// misses out to the pool, and emits candidate/dimension trace events.
-/// Lookups, inserts, and trace writes all happen on the orchestrator
-/// thread; workers only run the pure evaluateCandidate.
-class OrchestratedEvaluator final : public Evaluator {
+/// The evaluator behind the strategy loop: consults the shared EvalCache,
+/// fans cache misses out to the pool, and emits candidate/dimension trace
+/// events.  Lookups, inserts, and trace writes all happen on the
+/// orchestrator thread; workers only run the pure evaluateCandidate.
+class OrchestratedEvaluator {
  public:
   OrchestratedEvaluator(Orchestrator& orch, const KernelJob& job)
       : orch_(orch), job_(job), pipeline_(orch.pipelineFor(job)),
@@ -43,9 +43,11 @@ class OrchestratedEvaluator final : public Evaluator {
                  orch.config_.search.testerN,
                  /*params=*/""} {}
 
+  /// Evaluates batch[i] -> result[i].  `dimension` names the search
+  /// dimension ("DEFAULTS", "WNT", "PF DST", ...) for the trace.
   std::vector<EvalOutcome> evaluateBatch(
       const std::vector<opt::TuningParams>& batch,
-      const std::string& dimension) override {
+      const std::string& dimension) {
     if (dimension != lastDim_) {
       lastDim_ = dimension;
       JsonWriter w;
@@ -137,10 +139,12 @@ class OrchestratedEvaluator final : public Evaluator {
 
   [[nodiscard]] const FailureCounts& faults() const { return faults_; }
 
-  int evaluations() const override { return evaluations_; }
+  /// Real (non-memoized) compile+test+time evaluations performed so far.
+  [[nodiscard]] int evaluations() const { return evaluations_; }
 
+  /// Traces a finished dimension with its committed best.
   void onDimensionEnd(const std::string& dimension, uint64_t bestCycles,
-                      const opt::TuningParams& best) override {
+                      const opt::TuningParams& best) {
     JsonWriter w;
     w.field("event", "dimension_end")
         .field("kernel", job_.name)
@@ -165,6 +169,116 @@ class OrchestratedEvaluator final : public Evaluator {
   int evaluations_ = 0;
   FailureCounts faults_;
 };
+
+namespace {
+
+/// The fixed batch-size ceiling handed to propose().  Deliberately not
+/// derived from config.jobs: the hint shapes the proposal sequence, and
+/// that sequence must be identical at every --jobs value.
+constexpr int kBatchHint = 16;
+
+/// The strategy loop: evaluates DEFAULTS, the job's warm start, then the
+/// strategy's proposals until the strategy finishes or the budget is spent.
+TuneResult runStrategySearch(const KernelJob& job,
+                             const arch::MachineConfig& machine,
+                             const SearchConfig& config,
+                             SearchStrategy& strategy, const Budget& budget,
+                             OrchestratedEvaluator& eval) {
+  TuneResult result;
+  result.analysis = fko::analyzeKernel(job.hilSource, machine);
+  if (!result.analysis.ok) {
+    result.error = result.analysis.error;
+    return result;
+  }
+
+  const opt::ParamSpace space = spaceFor(result.analysis, machine, config);
+  const opt::TuningParams defaults = fkoDefaults(result.analysis, machine);
+  result.defaults = defaults;
+  strategy.init(space, defaults);
+
+  // The DEFAULTS point anchors every strategy (and the budget: it is
+  // proposal #1, so a warm cache cannot change the trajectory).
+  const EvalOutcome def = eval.evaluateBatch({defaults}, "DEFAULTS")[0];
+  if (def.cycles == 0) {
+    result.error = "default parameters failed to compile/time";
+    result.evaluations = eval.evaluations();
+    return result;
+  }
+  strategy.observe(defaults, def);
+  result.defaultCycles = def.cycles;
+
+  opt::TuningParams best = defaults;
+  uint64_t bestCycles = def.cycles;
+  int proposals = 1;
+  uint64_t cyclesSpent = def.cycles;
+  result.frontier.push_back({proposals, bestCycles});
+
+  // Warm start: time the remembered winner once, up front.  A failing or
+  // slower-than-defaults warm point simply never becomes the incumbent —
+  // stale wisdom can cost one evaluation, never the result.
+  const std::optional<opt::TuningParams> warmStart =
+      job.warmStartProvider ? job.warmStartProvider(def) : std::nullopt;
+  if (warmStart.has_value() && !(*warmStart == defaults)) {
+    const EvalOutcome warm = eval.evaluateBatch({*warmStart}, "WISDOM")[0];
+    ++proposals;
+    cyclesSpent += warm.cycles;
+    if (warm.usable() && warm.cycles < bestCycles) {
+      bestCycles = warm.cycles;
+      best = *warmStart;
+      result.frontier.push_back({proposals, bestCycles});
+    }
+  }
+
+  // Relays new dimension-ledger entries to the trace as dimension_end
+  // events, preserving the evaluate -> dimension_end -> next-dimension
+  // order the line search has always traced.
+  size_t ledgerSent = 0;
+  auto flushLedger = [&] {
+    std::vector<DimensionResult> led = strategy.ledger();
+    for (; ledgerSent < led.size(); ++ledgerSent)
+      eval.onDimensionEnd(led[ledgerSent].name, led[ledgerSent].cyclesAfter,
+                          best);
+  };
+
+  auto budgetSpent = [&] {
+    if (budget.maxEvaluations > 0 && proposals >= budget.maxEvaluations)
+      return true;
+    if (budget.maxCycles > 0 && cyclesSpent >= budget.maxCycles) return true;
+    return false;
+  };
+
+  while (!budgetSpent() && !strategy.done()) {
+    int hint = kBatchHint;
+    if (budget.maxEvaluations > 0)
+      hint = std::min(hint, budget.maxEvaluations - proposals);
+    Proposal p = strategy.propose(hint);
+    flushLedger();
+    if (p.candidates.empty()) break;
+    const std::vector<EvalOutcome> outcomes =
+        eval.evaluateBatch(p.candidates, p.dimension);
+    for (size_t i = 0; i < p.candidates.size(); ++i) {
+      strategy.observe(p.candidates[i], outcomes[i]);
+      ++proposals;
+      cyclesSpent += outcomes[i].cycles;
+      if (outcomes[i].cycles != 0 && outcomes[i].cycles < bestCycles) {
+        bestCycles = outcomes[i].cycles;
+        best = p.candidates[i];
+        result.frontier.push_back({proposals, bestCycles});
+      }
+    }
+  }
+  flushLedger();
+
+  result.best = best;
+  result.bestCycles = bestCycles;
+  result.ledger = strategy.ledger();
+  result.evaluations = eval.evaluations();
+  result.proposals = proposals;
+  result.ok = true;
+  return result;
+}
+
+}  // namespace
 
 Orchestrator::Orchestrator(const arch::MachineConfig& machine,
                            OrchestratorConfig config, std::string* error)
@@ -262,10 +376,8 @@ KernelOutcome Orchestrator::tune(const KernelJob& job) {
   std::unique_ptr<SearchStrategy> strategy =
       makeStrategy(config_.strategy, config_.budget);
   try {
-    outcome.result = runStrategySearch(
-        job.hilSource, machine_, config_.search, *strategy, config_.budget,
-        eval, job.warmStart.has_value() ? &*job.warmStart : nullptr,
-        job.warmStartProvider);
+    outcome.result = runStrategySearch(job, machine_, config_.search,
+                                       *strategy, config_.budget, eval);
   } catch (const QuarantineSignal& q) {
     outcome.result = {};
     outcome.result.ok = false;
@@ -346,6 +458,43 @@ BatchOutcome Orchestrator::tuneAll(
   trace(w.str());
   if (trace_ != nullptr) std::fflush(trace_);
   return batch;
+}
+
+namespace {
+
+/// One search on an in-memory orchestrator with one worker: no cache file,
+/// no trace, and no quarantine (every candidate's failure is just a
+/// failed candidate, as in a plain serial search).
+TuneResult tuneInMemory(const KernelJob& job,
+                        const arch::MachineConfig& machine,
+                        const SearchConfig& config, StrategyKind kind,
+                        const Budget& budget) {
+  OrchestratorConfig oc;
+  oc.search = config;
+  oc.search.jobs = 1;
+  oc.strategy = kind;
+  oc.budget = budget;
+  oc.quarantineAfter = 0;
+  Orchestrator orch(machine, oc);
+  return orch.tune(job).result;
+}
+
+}  // namespace
+
+TuneResult tuneKernel(const kernels::KernelSpec& spec,
+                      const arch::MachineConfig& machine,
+                      const SearchConfig& config, StrategyKind kind,
+                      const Budget& budget) {
+  return tuneInMemory({spec.name(), spec.hilSource(), &spec}, machine, config,
+                      kind, budget);
+}
+
+TuneResult tuneSource(const std::string& hilSource,
+                      const arch::MachineConfig& machine,
+                      const SearchConfig& config, StrategyKind kind,
+                      const Budget& budget) {
+  return tuneInMemory({"kernel", hilSource, nullptr}, machine, config, kind,
+                      budget);
 }
 
 std::vector<KernelJob> loadKernelDir(const std::string& dir,

@@ -1,4 +1,9 @@
-// Parallel batch-tuning orchestrator: the evaluation loop as a service.
+// Parallel batch-tuning orchestrator: the search loop and its evaluator.
+//
+// tune() runs one kernel's search: it asks the configured strategy
+// (strategy/strategy.h) for batches of candidates, evaluates them, reports
+// each outcome back in proposal order, tracks the best-so-far frontier and
+// enforces the Budget.  The strategy only decides what to try next.
 //
 // The paper's empirical search pays a turnaround tax — hundreds of
 // compile+test+time evaluations per kernel, serial in the original iFKO.
@@ -55,8 +60,8 @@ namespace ifko::search {
 
 struct OrchestratorConfig {
   /// search.jobs sizes the worker pool (values < 1 normalize to 1);
-  /// search.evalTimeoutMs / maxEvalAttempts / retryBackoffMs set the
-  /// fault-isolation policy (search/faultguard.h).
+  /// search.evalTimeoutMs / maxEvalAttempts set the fault-isolation policy
+  /// (search/faultguard.h).
   SearchConfig search;
   std::string cachePath;  ///< persistent JSONL evaluation cache ("" = memory only)
   /// Sharded cache mode (takes precedence over cachePath): load every
@@ -68,7 +73,7 @@ struct OrchestratorConfig {
   /// uncoordinated workers never collide on a shard file.
   std::string cacheShard;
   std::string tracePath;  ///< JSONL event trace ("" = off); appended per run
-  /// Search policy.  Every kind runs through the same strategy driver;
+  /// Search policy.  Every kind runs through the same strategy loop;
   /// Line with an unlimited budget is the paper's line search.
   StrategyKind strategy = StrategyKind::Line;
   Budget budget;  ///< default: unlimited, seed 1
@@ -86,6 +91,14 @@ struct OrchestratorConfig {
   bool keepPipelinesWarm = false;
 };
 
+/// Warm start: called once, right after the DEFAULTS evaluation, with its
+/// outcome (counters included), so a wisdom lookup can use the kernel's own
+/// attribution as the similarity probe for the performance-nearest record.
+/// Returning a TuningParams makes it the "WISDOM" point.  Must be
+/// deterministic (outcomes are).
+using WarmStartFn =
+    std::function<std::optional<opt::TuningParams>(const EvalOutcome&)>;
+
 /// One kernel to tune.  When `spec` names a surveyed BLAS kernel its
 /// hand-written reference implementation checks the candidates; otherwise
 /// they are tested differentially against the unoptimized lowering.
@@ -93,15 +106,12 @@ struct KernelJob {
   std::string name;
   std::string hilSource;
   const kernels::KernelSpec* spec = nullptr;
-  /// Warm start (e.g. from a wisdom record): evaluated right after the
-  /// DEFAULTS point as the "WISDOM" dimension, so a previously found
-  /// winner becomes the incumbent before the strategy proposes anything.
-  /// The strategy never observes it — proposal sequences stay identical
-  /// with or without a warm start; only the incumbent can differ.
-  std::optional<opt::TuningParams> warmStart;
-  /// Deferred warm start: invoked once with the DEFAULTS outcome so a
-  /// wisdom lookup can use the kernel's own attribution vector as its
-  /// similarity probe.  Supersedes `warmStart` when set.
+  /// Optional warm start (e.g. a wisdom record's winner): the point it
+  /// returns is evaluated right after DEFAULTS as the "WISDOM" dimension,
+  /// so a previously found winner becomes the incumbent before the
+  /// strategy proposes anything.  It counts against the budget, but the
+  /// strategy never observes it — proposal sequences stay identical with
+  /// or without a warm start; only the incumbent can differ.
   WarmStartFn warmStartProvider;
 };
 
@@ -161,7 +171,8 @@ class Orchestrator {
   Orchestrator(const Orchestrator&) = delete;
   Orchestrator& operator=(const Orchestrator&) = delete;
 
-  /// Tunes one kernel through the parallel cached evaluator.
+  /// Runs the configured strategy on one kernel through the parallel
+  /// cached evaluator, until the strategy finishes or the budget is spent.
   [[nodiscard]] KernelOutcome tune(const KernelJob& job);
 
   /// Tunes every job in order (candidate-level parallelism keeps the

@@ -21,8 +21,6 @@ class RandomStrategy final : public SearchStrategy {
  public:
   explicit RandomStrategy(uint64_t seed) : rng_(seed) {}
 
-  [[nodiscard]] std::string_view name() const override { return "random"; }
-
   void init(const opt::ParamSpace& space,
             const TuningParams& defaults) override {
     space_ = space;

@@ -13,12 +13,13 @@ namespace ifko::search {
 
 [[nodiscard]] std::unique_ptr<SearchStrategy> makeLineSearchStrategy();
 [[nodiscard]] std::unique_ptr<SearchStrategy> makeRandomStrategy(uint64_t seed);
-[[nodiscard]] std::unique_ptr<SearchStrategy> makeHillClimbStrategy(
-    uint64_t seed);
 [[nodiscard]] std::unique_ptr<SearchStrategy> makeEvolutionaryStrategy(
     uint64_t seed);
+/// Steepest-ascent hill climbing with random restarts; `guided` steers
+/// each step by the incumbent's stall-cause attribution (the attribution
+/// strategy), unguided it is the plain hillclimb strategy.
 [[nodiscard]] std::unique_ptr<SearchStrategy> makeAttributionStrategy(
-    uint64_t seed);
+    uint64_t seed, bool guided);
 [[nodiscard]] std::unique_ptr<SearchStrategy> makeBanditStrategy(uint64_t seed);
 
 }  // namespace ifko::search

@@ -13,8 +13,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "opt/params.h"
-#include "support/hash.h"
 #include "support/json.h"
 #include "wisdom/harvest.h"
 
@@ -145,16 +143,17 @@ std::string Daemon::handleKernelVerb(const Request& req) {
   const arch::MachineConfig machine =
       machineFor(req.arch.empty() ? config_.defaultArch : req.arch);
   sim::TimeContext context = config_.orchestrator.search.context;
-  if (!req.context.empty())
-    context = req.context == "inl2" ? sim::TimeContext::InL2
-                                    : sim::TimeContext::OutOfCache;
+  if (!req.context.empty()) {
+    const auto parsed = sim::parseContextFlag(req.context);
+    if (!parsed.has_value())
+      return errorResponse("parse_error", "unknown context '" + req.context +
+                                              "' (want ooc|inl2)");
+    context = *parsed;
+  }
   const int64_t n = req.n > 0 ? req.n : config_.orchestrator.search.n;
 
-  wisdom::WisdomKey key;
-  key.sourceHash = hashHex(entry.source);
-  key.machine = machine.name;
-  key.context = std::string(sim::contextName(context));
-  key.nClass = wisdom::nClassFor(n);
+  const wisdom::WisdomKey key =
+      wisdom::keyFor(entry.source, machine, context, n);
 
   const wisdom::WisdomMatch match = store_.find(key);
 
@@ -228,17 +227,9 @@ std::string Daemon::handleKernelVerb(const Request& req) {
   job.name = req.target;
   job.hilSource = entry.source;
   job.spec = entry.spec;
-  job.warmStartProvider = [this, key](const search::EvalOutcome& def)
-      -> std::optional<opt::TuningParams> {
-    std::optional<wisdom::AttrShares> probe;
-    if (def.counters.has_value())
-      probe = wisdom::attrSharesFrom(*def.counters);
-    const wisdom::WisdomMatch m =
-        store_.find(key, probe.has_value() ? &*probe : nullptr);
-    if (!m.hit()) return std::nullopt;
-    const opt::TuningSpec seed = opt::parseTuningSpec(m.record->params);
-    if (!seed.ok) return std::nullopt;
-    return seed.params;
+  job.warmStartProvider = [this, key](const search::EvalOutcome& def) {
+    const auto warm = wisdom::findWarmStart(store_, key, def);
+    return warm.has_value() ? std::optional(warm->params) : std::nullopt;
   };
   const search::KernelOutcome outcome = orch.tune(job);
   ++stats_.tuned;
@@ -252,7 +243,7 @@ std::string Daemon::handleKernelVerb(const Request& req) {
   usedConfig.n = n;
   const wisdom::WisdomRecord rec = wisdom::harvestRecord(
       key, req.target,
-      config_.runId + "/" +
+      "serve/" +
           std::string(search::strategyName(config_.orchestrator.strategy)),
       outcome.result, usedConfig, &orch.cache());
 

@@ -45,7 +45,6 @@ struct ServeConfig {
   /// Directory of extra *.hil kernels to serve by file stem; entries
   /// override registry kernels of the same name.  "" = registry only.
   std::string kernelsDir;
-  std::string runId = "serve";  ///< provenance stamped into wisdom records
   /// Per-connection receive deadline (SO_RCVTIMEO), in milliseconds.  A
   /// client that connects and then stalls mid-line would otherwise park
   /// the serial accept loop forever; after this long with no bytes the

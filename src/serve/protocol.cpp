@@ -3,6 +3,7 @@
 #include <sstream>
 #include <vector>
 
+#include "sim/timer.h"
 #include "support/str.h"
 
 namespace ifko::serve {
@@ -76,7 +77,7 @@ std::optional<Request> parseRequest(const std::string& line,
         return fail("unknown arch '" + value + "' (want p4e|opteron)");
       req.arch = value;
     } else if (key == "context") {
-      if (value != "ooc" && value != "inl2")
+      if (!sim::parseContextFlag(value).has_value())
         return fail("unknown context '" + value + "' (want ooc|inl2)");
       req.context = value;
     } else if (key == "n") {

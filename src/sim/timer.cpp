@@ -6,6 +6,12 @@ std::string_view contextName(TimeContext ctx) {
   return ctx == TimeContext::OutOfCache ? "out-of-cache" : "in-L2";
 }
 
+std::optional<TimeContext> parseContextFlag(std::string_view flag) {
+  if (flag == "ooc") return TimeContext::OutOfCache;
+  if (flag == "inl2") return TimeContext::InL2;
+  return std::nullopt;
+}
+
 TimeResult timeKernel(const arch::MachineConfig& machine,
                       const ir::Function& fn, const kernels::KernelSpec& spec,
                       int64_t n, TimeContext ctx, uint64_t seed, int64_t loopN,

@@ -11,6 +11,9 @@
 // protocol collapses to a single run.
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 #include "arch/machine.h"
 #include "ir/function.h"
 #include "kernels/registry.h"
@@ -61,6 +64,11 @@ struct TimeResult {
                                     int64_t loopN = 0,
                                     const kernels::KernelData* tmpl = nullptr);
 
+/// Display and key name: "out-of-cache" | "in-L2".
 [[nodiscard]] std::string_view contextName(TimeContext ctx);
+/// The flag spelling (--context=, the serve protocol's context=): "ooc" or
+/// "inl2"; nullopt for anything else.
+[[nodiscard]] std::optional<TimeContext> parseContextFlag(
+    std::string_view flag);
 
 }  // namespace ifko::sim

@@ -110,6 +110,8 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_FALSE(parseRequest("QUERY", &err).has_value());  // kernel required
   EXPECT_FALSE(parseRequest("QUERY ddot arch=vax", &err).has_value());
   EXPECT_FALSE(parseRequest("QUERY ddot context=l3", &err).has_value());
+  EXPECT_FALSE(parseRequest("QUERY ddot context=in-L2", &err).has_value());
+  EXPECT_EQ(err, "unknown context 'in-L2' (want ooc|inl2)");
   EXPECT_FALSE(parseRequest("QUERY ddot n=0", &err).has_value());
   EXPECT_FALSE(parseRequest("QUERY ddot n=many", &err).has_value());
   EXPECT_FALSE(parseRequest("QUERY ddot bogus=1", &err).has_value());
@@ -233,7 +235,7 @@ TEST(DaemonAcceptance, MissTuneMatchesFreshTuneAcrossContexts) {
     for (const kernels::KernelSpec& spec : kernels::allKernels()) {
       SCOPED_TRACE(spec.name() + (inl2 ? "/inl2" : "/ooc"));
       const search::KernelOutcome want =
-          fresh.tune({spec.name(), spec.hilSource(), &spec, std::nullopt});
+          fresh.tune({spec.name(), spec.hilSource(), &spec});
       ASSERT_TRUE(want.result.ok) << want.result.error;
       expectEvals += want.result.evaluations;
 

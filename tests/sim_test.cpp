@@ -317,6 +317,16 @@ TEST(Timer, Deterministic) {
   EXPECT_EQ(a.dynInsts, b.dynInsts);
 }
 
+TEST(Timer, ContextFlagParsesOnlyTheFlagSpellings) {
+  EXPECT_EQ(sim::parseContextFlag("ooc"), sim::TimeContext::OutOfCache);
+  EXPECT_EQ(sim::parseContextFlag("inl2"), sim::TimeContext::InL2);
+  // The display names are not flag spellings, and nothing defaults.
+  EXPECT_FALSE(sim::parseContextFlag("in-L2").has_value());
+  EXPECT_FALSE(sim::parseContextFlag("out-of-cache").has_value());
+  EXPECT_FALSE(sim::parseContextFlag("INL2").has_value());
+  EXPECT_FALSE(sim::parseContextFlag("").has_value());
+}
+
 TEST(Machines, PresetsAreSane) {
   for (const auto& m : arch::allMachines()) {
     EXPECT_GE(m.caches.size(), 2u);

@@ -144,10 +144,10 @@ TEST(StrategyDeterminism, DifferentSeedsDiverge) {
   b1.maxEvaluations = b2.maxEvaluations = 24;
   b1.seed = 1;
   b2.seed = 2;
-  TuneResult r1 = tuneKernelWithStrategy(spec, arch::p4e(), smokeConfig(),
-                                         StrategyKind::Random, b1);
-  TuneResult r2 = tuneKernelWithStrategy(spec, arch::p4e(), smokeConfig(),
-                                         StrategyKind::Random, b2);
+  TuneResult r1 = tuneKernel(spec, arch::p4e(), smokeConfig(),
+                             StrategyKind::Random, b1);
+  TuneResult r2 = tuneKernel(spec, arch::p4e(), smokeConfig(),
+                             StrategyKind::Random, b2);
   ASSERT_TRUE(r1.ok && r2.ok);
   // Same kernel, same budget: the frontiers (which candidates improved,
   // when) should differ between seeds on any non-trivial space.
@@ -161,8 +161,7 @@ TEST(Budget, CapsObservedCandidates) {
   for (StrategyKind kind : allStrategies()) {
     Budget b;
     b.maxEvaluations = 12;
-    TuneResult r =
-        tuneKernelWithStrategy(spec, arch::p4e(), smokeConfig(), kind, b);
+    TuneResult r = tuneKernel(spec, arch::p4e(), smokeConfig(), kind, b);
     ASSERT_TRUE(r.ok) << strategyName(kind) << ": " << r.error;
     // Checked between proposals: at most one indivisible batch of overshoot.
     EXPECT_GE(r.proposals, 1) << strategyName(kind);
@@ -180,8 +179,8 @@ TEST(Budget, RandomStrategyHonorsBatchHintExactly) {
   KernelSpec spec{BlasOp::Copy, ir::Scal::F32};
   Budget b;
   b.maxEvaluations = 9;
-  TuneResult r = tuneKernelWithStrategy(spec, arch::p4e(), smokeConfig(),
-                                        StrategyKind::Random, b);
+  TuneResult r = tuneKernel(spec, arch::p4e(), smokeConfig(),
+                            StrategyKind::Random, b);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.proposals, 9);
 }
@@ -190,8 +189,8 @@ TEST(Budget, CycleBudgetStopsTheSearch) {
   KernelSpec spec{BlasOp::Dot, ir::Scal::F64};
   Budget tight;
   tight.maxCycles = 1;  // the DEFAULTS point already exhausts it
-  TuneResult r = tuneKernelWithStrategy(spec, arch::p4e(), smokeConfig(),
-                                        StrategyKind::Random, tight);
+  TuneResult r = tuneKernel(spec, arch::p4e(), smokeConfig(),
+                            StrategyKind::Random, tight);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.proposals, 1);
   EXPECT_EQ(r.bestCycles, r.defaultCycles);
@@ -214,9 +213,7 @@ TEST(StrategyRegistry, NamesRoundTrip) {
     auto parsed = parseStrategyKind(strategyName(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
-    auto made = makeStrategy(kind, {});
-    ASSERT_NE(made, nullptr);
-    EXPECT_EQ(made->name(), strategyName(kind));
+    EXPECT_NE(makeStrategy(kind, {}), nullptr);
   }
   EXPECT_FALSE(parseStrategyKind("annealing").has_value());
   EXPECT_FALSE(parseStrategyKind("").has_value());
@@ -330,8 +327,7 @@ TEST(Strategies, StochasticSearchesImproveOnDefaults) {
   for (StrategyKind kind : allStrategies()) {
     Budget b;
     b.maxEvaluations = 48;
-    TuneResult r =
-        tuneKernelWithStrategy(spec, arch::p4e(), smokeConfig(), kind, b);
+    TuneResult r = tuneKernel(spec, arch::p4e(), smokeConfig(), kind, b);
     ASSERT_TRUE(r.ok) << strategyName(kind) << ": " << r.error;
     EXPECT_LE(r.bestCycles, r.defaultCycles) << strategyName(kind);
     EXPECT_LT(r.bestCycles, r.defaultCycles) << strategyName(kind);
@@ -362,10 +358,10 @@ TEST(AttributionStrategy, MatchesOrBeatsHillClimbOnMemBoundKernel) {
   KernelSpec spec{BlasOp::Scal, ir::Scal::F64};
   Budget b;
   b.maxEvaluations = 32;
-  TuneResult attr = tuneKernelWithStrategy(spec, arch::p4e(), smokeConfig(),
-                                           StrategyKind::Attribution, b);
-  TuneResult hill = tuneKernelWithStrategy(spec, arch::p4e(), smokeConfig(),
-                                           StrategyKind::HillClimb, b);
+  TuneResult attr = tuneKernel(spec, arch::p4e(), smokeConfig(),
+                               StrategyKind::Attribution, b);
+  TuneResult hill = tuneKernel(spec, arch::p4e(), smokeConfig(),
+                               StrategyKind::HillClimb, b);
   ASSERT_TRUE(attr.ok) << attr.error;
   ASSERT_TRUE(hill.ok) << hill.error;
   EXPECT_LE(attr.bestCycles, hill.bestCycles);

@@ -2,14 +2,21 @@
 // bit-identically (attribution vector included), merge keep-best, tolerate
 // damaged lines loudly, load old-schema (v1) lines while refusing unknown
 // schemas, and fall back exact -> attribution-similar -> near-N ->
-// near-context without ever crossing kernel or machine.
+// near-context without ever crossing kernel or machine.  The warm-start
+// lookup shared by tune, tune-all and the serve daemon turns a match into
+// parsed parameters, probing with the kernel's own DEFAULTS attribution.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "arch/machine.h"
+#include "search/counters.h"
+#include "support/hash.h"
+#include "wisdom/harvest.h"
 #include "wisdom/wisdom.h"
 
 namespace ifko::wisdom {
@@ -379,6 +386,94 @@ TEST(AttrMath, CosineDistanceBasics) {
   // any real distance.
   EXPECT_EQ(attrCosineDistance(a, AttrShares{}), 2.0);
   EXPECT_EQ(attrCosineDistance(AttrShares{}, AttrShares{}), 2.0);
+}
+
+// --- the shared warm-start lookup (wisdom/harvest.h) ------------------------
+
+/// A timed DEFAULTS outcome whose attribution has the given shares.
+search::EvalOutcome defaultsWithShares(const AttrShares& shares) {
+  search::EvalCounters c;
+  for (size_t i = 0; i < kAttrCauses; ++i)
+    c.attr.cycles[i] = static_cast<uint64_t>(std::lround(shares[i] * 1000));
+  search::EvalOutcome o;
+  o.cycles = c.attr.total();
+  o.counters = c;
+  return o;
+}
+
+TEST(WisdomKeyFor, NamesSourceMachineContextAndNClass) {
+  const WisdomKey key =
+      keyFor("kernel text", arch::opteron(), sim::TimeContext::InL2, 5000);
+  EXPECT_EQ(key, (WisdomKey{hashHex("kernel text"), "Opteron", "in-L2",
+                            "2^13"}));
+}
+
+TEST(WarmStart, ExactRecordGivesItsParsedParams) {
+  WisdomRecord rec = makeRecord("h", "P4E", "out-of-cache", "2^12", 100);
+  rec.params = "sv=Y ur=8 ae=2 wnt=Y";
+  WisdomStore store;
+  store.record(rec);
+  const auto warm = findWarmStart(store, rec.key, search::EvalOutcome{});
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(warm->match.kind, MatchKind::Exact);
+  EXPECT_EQ(warm->match.record, store.lookup(rec.key));
+  EXPECT_EQ(warm->params.unroll, 8);
+  EXPECT_EQ(warm->params.accumExpand, 2);
+  EXPECT_TRUE(warm->params.nonTemporalWrites);
+  EXPECT_EQ(warm->params, opt::parseTuningSpec(rec.params).params);
+}
+
+TEST(WarmStart, UnparseableParamsGiveNoWarmStart) {
+  WisdomRecord rec = makeRecord("h", "P4E", "out-of-cache", "2^12", 100);
+  rec.params = "ur=banana";
+  WisdomStore store;
+  store.record(rec);
+  ASSERT_TRUE(store.find(rec.key).hit());  // the record is there...
+  // ...but a spec that does not parse must never seed a search.
+  EXPECT_FALSE(
+      findWarmStart(store, rec.key, search::EvalOutcome{}).has_value());
+  EXPECT_FALSE(findWarmStart(store, {"other", "P4E", "out-of-cache", "2^12"},
+                             search::EvalOutcome{})
+                   .has_value());
+}
+
+TEST(WarmStart, DefaultsAttributionIsTheProbe) {
+  // The two same-context records of FindRanksByAttributionSimilarity, with
+  // distinct winners: the DEFAULTS outcome's own attribution must pick
+  // the performance-nearest one.
+  WisdomRecord memBound = makeRecord("h", "P4E", "out-of-cache", "2^13", 100);
+  memBound.attrShare = {0.05, 0.05, 0.0, 0.0, 0.0, 0.0, 0.1, 0.1, 0.6, 0.1};
+  memBound.params = "sv=Y ur=4";
+  WisdomRecord fpBound = makeRecord("h", "P4E", "out-of-cache", "2^15", 100);
+  fpBound.attrShare = {0.1, 0.7, 0.05, 0.0, 0.0, 0.05, 0.05, 0.0, 0.0, 0.05};
+  fpBound.params = "sv=Y ur=16 ae=4";
+  WisdomStore store;
+  store.record(memBound);
+  store.record(fpBound);
+  const WisdomKey key{"h", "P4E", "out-of-cache", "2^12"};
+
+  auto warm = findWarmStart(
+      store, key,
+      defaultsWithShares({0.1, 0.65, 0.05, 0.0, 0.0, 0.1, 0.05, 0.0, 0.0,
+                          0.05}));
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(warm->match.kind, MatchKind::AttrSimilar);
+  EXPECT_EQ(warm->match.record->key.nClass, "2^15");
+  EXPECT_EQ(warm->params.unroll, 16);
+  EXPECT_EQ(warm->params.accumExpand, 4);
+
+  warm = findWarmStart(store, key,
+                       defaultsWithShares({0.05, 0.1, 0.0, 0.0, 0.0, 0.0, 0.1,
+                                           0.1, 0.55, 0.1}));
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(warm->match.kind, MatchKind::AttrSimilar);
+  EXPECT_EQ(warm->params.unroll, 4);
+
+  // A DEFAULTS outcome without counters has no probe: nearest N wins.
+  warm = findWarmStart(store, key, search::EvalOutcome{});
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(warm->match.kind, MatchKind::NearNClass);
+  EXPECT_EQ(warm->match.record->key.nClass, "2^13");
 }
 
 }  // namespace

@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
     lineBudget.maxEvaluations = static_cast<int>(budget);
     lineBudget.seed = seed;
     std::vector<search::TuneResult> results(strategies.size());
-    results[0] = search::tuneKernelWithStrategy(
-        spec, machine, cfg, search::StrategyKind::Line, lineBudget);
+    results[0] = search::tuneKernel(spec, machine, cfg,
+                                    search::StrategyKind::Line, lineBudget);
     if (!results[0].ok) {
       std::fprintf(stderr, "%s: line search failed: %s\n",
                    spec.name().c_str(), results[0].error.c_str());
@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
     search::Budget matched = lineBudget;
     matched.maxEvaluations = results[0].proposals;
     for (size_t s = 1; s < strategies.size(); ++s)
-      results[s] = search::tuneKernelWithStrategy(spec, machine, cfg,
-                                                  strategies[s], matched);
+      results[s] =
+          search::tuneKernel(spec, machine, cfg, strategies[s], matched);
 
     uint64_t best = UINT64_MAX;
     for (const auto& r : results)

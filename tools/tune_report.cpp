@@ -25,14 +25,16 @@
 // whose kernel the trace has since tuned to strictly fewer cycles, i.e. the
 // store is behind what the most recent run found.  Works without a trace
 // (wisdom summary only).
-#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "search/counters.h"
+#include "sim/timing.h"
 #include "support/json.h"
 #include "support/str.h"
 #include "support/table.h"
@@ -45,25 +47,6 @@ namespace {
 struct DimBest {
   std::string dim;
   uint64_t bestCycles = 0;
-};
-
-// The closed cause set of the trace-v3 `counters` object, in the
-// sim::StallCause enum order (fields are named "attr_<cause>").
-constexpr size_t kNumCauses = 10;
-constexpr const char* kCauseNames[kNumCauses] = {
-    "issue",  "fp_dep", "int_dep", "rob",      "mispredict",
-    "unit",   "mem_l1", "mem_l2",  "mem_main", "store"};
-
-/// One candidate's attribution vector, pulled from its nested counters.
-struct AttrSample {
-  bool have = false;
-  std::array<uint64_t, kNumCauses> cycles{};
-
-  [[nodiscard]] uint64_t total() const {
-    uint64_t t = 0;
-    for (uint64_t v : cycles) t += v;
-    return t;
-  }
 };
 
 struct KernelStats {
@@ -87,8 +70,8 @@ struct KernelStats {
   double seconds = 0.0;
   // --attr: the DEFAULTS candidate's attribution and the best (fewest
   // cycles) passing candidate's, from the nested trace-v3 counters.
-  AttrSample defAttr;
-  AttrSample bestAttr;
+  std::optional<sim::Attribution> defAttr;
+  std::optional<sim::Attribution> bestAttr;
   uint64_t bestAttrCycles = 0;
 };
 
@@ -114,18 +97,17 @@ bool getBool(const std::map<std::string, JsonValue>& obj, const char* key) {
   return v != nullptr && v->kind == JsonValue::Kind::Bool && v->boolean;
 }
 
-/// Reads the "attr_*" fields out of a candidate's nested counters object.
-AttrSample readAttr(const std::map<std::string, JsonValue>& obj) {
-  AttrSample s;
+/// A candidate's attribution out of its nested trace-v3 counters object;
+/// nullopt when it has none or they charge no cycles.
+std::optional<sim::Attribution> readAttr(
+    const std::map<std::string, JsonValue>& obj) {
   const JsonValue* counters = get(obj, "counters");
   if (counters == nullptr || counters->kind != JsonValue::Kind::Object ||
       counters->object == nullptr)
-    return s;
-  for (size_t i = 0; i < kNumCauses; ++i)
-    s.cycles[i] = static_cast<uint64_t>(
-        getNum(*counters->object, ("attr_" + std::string(kCauseNames[i])).c_str()));
-  s.have = s.total() != 0;
-  return s;
+    return std::nullopt;
+  const sim::Attribution attr = search::parseCounters(*counters->object).attr;
+  if (attr.total() == 0) return std::nullopt;
+  return attr;
 }
 
 }  // namespace
@@ -212,12 +194,12 @@ int main(int argc, char** argv) {
                          ? static_cast<int>(getNum(obj, "attempts")) - 1
                          : 0;
         if (verdict == "pass") {
-          AttrSample attr = readAttr(obj);
-          if (attr.have) {
+          std::optional<sim::Attribution> attr = readAttr(obj);
+          if (attr.has_value()) {
             std::string dim = getStr(obj, "dim");
-            if (dim == "DEFAULTS" && !k.defAttr.have) k.defAttr = attr;
+            if (dim == "DEFAULTS" && !k.defAttr.has_value()) k.defAttr = attr;
             uint64_t cycles = static_cast<uint64_t>(getNum(obj, "cycles"));
-            if (!k.bestAttr.have || cycles < k.bestAttrCycles) {
+            if (!k.bestAttr.has_value() || cycles < k.bestAttrCycles) {
               k.bestAttr = attr;
               k.bestAttrCycles = cycles;
             }
@@ -339,14 +321,15 @@ int main(int argc, char** argv) {
     // exactly to the cycle count, so the shares per row sum to 100.
     TextTable a;
     std::vector<std::string> header = {"kernel", "who"};
-    for (const char* c : kCauseNames) header.emplace_back(c);
+    for (size_t i = 0; i < sim::kNumStallCauses; ++i)
+      header.emplace_back(sim::stallCauseName(static_cast<sim::StallCause>(i)));
     a.setHeader(header);
     int kernelsWithAttr = 0;
     auto addAttrRow = [&](const std::string& label, const char* who,
-                          const AttrSample& s) {
+                          const sim::Attribution& s) {
       std::vector<std::string> row = {label, who};
       uint64_t total = s.total();
-      for (size_t i = 0; i < kNumCauses; ++i)
+      for (size_t i = 0; i < sim::kNumStallCauses; ++i)
         row.push_back(
             fmtFixed(total == 0 ? 0.0
                                 : 100.0 * static_cast<double>(s.cycles[i]) /
@@ -356,10 +339,10 @@ int main(int argc, char** argv) {
     };
     for (const auto& name : order) {
       const KernelStats& k = kernels.at(name);
-      if (!k.defAttr.have && !k.bestAttr.have) continue;
+      if (!k.defAttr.has_value() && !k.bestAttr.has_value()) continue;
       ++kernelsWithAttr;
-      if (k.defAttr.have) addAttrRow(k.name, "FKO", k.defAttr);
-      if (k.bestAttr.have) addAttrRow(k.name, "ifko", k.bestAttr);
+      if (k.defAttr.has_value()) addAttrRow(k.name, "FKO", *k.defAttr);
+      if (k.bestAttr.has_value()) addAttrRow(k.name, "ifko", *k.bestAttr);
     }
     if (kernelsWithAttr == 0) {
       std::printf("\nno attribution counters in the trace (pre-v3 trace, or "
