@@ -71,6 +71,12 @@ MachineConfig opteron() {
   return m;
 }
 
+std::optional<MachineConfig> parseArchFlag(std::string_view flag) {
+  if (flag == "p4e") return p4e();
+  if (flag == "opteron") return opteron();
+  return std::nullopt;
+}
+
 const std::vector<MachineConfig>& allMachines() {
   static const std::vector<MachineConfig> kMachines = {p4e(), opteron()};
   return kMachines;

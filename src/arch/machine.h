@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/inst.h"
@@ -83,6 +85,9 @@ struct MachineConfig {
 
 [[nodiscard]] MachineConfig p4e();
 [[nodiscard]] MachineConfig opteron();
+/// The flag spelling (--arch=, the serve protocol's arch=): "p4e" or
+/// "opteron"; nullopt for anything else.
+[[nodiscard]] std::optional<MachineConfig> parseArchFlag(std::string_view flag);
 [[nodiscard]] const std::vector<MachineConfig>& allMachines();
 
 }  // namespace ifko::arch

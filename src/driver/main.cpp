@@ -48,7 +48,7 @@
 //                 [--budget-cycles=N] [--search-seed=S] [--eval-timeout-ms=N]
 //                 [--eval-retries=N] [--quarantine=N] [--fault-plan=SPEC]
 //                 [--cache-dir=DIR] [--shard=NAME]
-//                 [--workers=N --worker-id=K] [--resume]
+//                 [--workers=N --worker-id=K]
 //       Batch-tunes every *.hil kernel in <dir> through the orchestrator and
 //       prints a Table-3-style summary with turnaround and cache statistics.
 //       --wisdom warm-starts every kernel and writes each winner back as it
@@ -58,10 +58,11 @@
 //       its own append-only cache.<shard>.jsonl (all shards are loaded, only
 //       our own is written; --shard defaults to the pid); --workers=N
 //       --worker-id=K keeps the jobs at sorted indices i with i % N == K,
-//       so N uncoordinated workers cover the directory exactly once;
-//       --resume (needs --trace) replays the trace of an interrupted run
-//       and skips every kernel that already completed — with a warm cache
-//       the re-entered kernels replay as hits, so nothing is paid twice.
+//       so N uncoordinated workers cover the directory exactly once.
+//       Results never depend on the cache, so after a kill the same
+//       command on the same --cache is the resume: finished candidates
+//       replay as hits and the output is byte-identical to an
+//       uninterrupted run's.
 //
 //   ifko explain <file.hil> (same options as tune)
 //       Tunes the kernel (cheap when a --cache is warm), then diffs the
@@ -128,7 +129,6 @@
 #include "ir/verifier.h"
 #include "search/evalpipeline.h"
 #include "search/orchestrator.h"
-#include "search/resume.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "support/json.h"
@@ -165,7 +165,6 @@ struct Options {
   int64_t workers = 0;   ///< tune-all --workers: fleet width; 0 = single
   int64_t workerId = 0;  ///< tune-all --worker-id: this worker's slot
   bool workerIdSet = false;
-  bool resume = false;            ///< tune-all --resume: replay the trace
   int64_t recvTimeoutMs = 30000;  ///< serve --recv-timeout-ms (0 = off)
   std::vector<std::string> fromPaths;  ///< --from= inputs (repeatable)
   search::StrategyKind strategy = search::StrategyKind::Line;
@@ -224,9 +223,14 @@ Options parseOptions(int argc, char** argv, int first) {
       return a.substr(std::strlen(prefix));
     };
     if (auto v = value("--arch=")) {
-      if (*v == "p4e") o.machine = arch::p4e();
-      else if (*v == "opteron") o.machine = arch::opteron();
-      else { std::fprintf(stderr, "unknown arch '%s'\n", v->c_str()); o.ok = false; continue; }
+      auto machine = arch::parseArchFlag(*v);
+      if (!machine.has_value()) {
+        std::fprintf(stderr, "unknown arch '%s' (want p4e|opteron)\n",
+                     v->c_str());
+        o.ok = false;
+        continue;
+      }
+      o.machine = *machine;
       o.archFlag = *v;
     } else if (auto v = value("--sv=")) {
       applySpec("sv=" + *v);
@@ -274,8 +278,6 @@ Options parseOptions(int argc, char** argv, int first) {
     } else if (auto v = value("--worker-id=")) {
       intFlag(*v, "--worker-id", 0, &o.workerId);
       o.workerIdSet = true;
-    } else if (a == "--resume") {
-      o.resume = true;
     } else if (auto v = value("--recv-timeout-ms=")) {
       intFlag(*v, "--recv-timeout-ms", 0, &o.recvTimeoutMs);
     } else if (auto v = value("--from=")) {
@@ -758,46 +760,6 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
 
   search::OrchestratorConfig oc = orchestratorConfig(o);
 
-  // --resume: the trace is a write-ahead log of batch progress.  Replay it,
-  // skip every kernel whose ok kernel_end survived the crash, and re-enter
-  // the rest — with the eval cache warm their already-paid candidates
-  // replay as hits, so nothing is evaluated twice.
-  search::ResumePlan plan;
-  std::vector<search::KernelJob> doneJobs;
-  if (o.resume) {
-    if (o.tracePath.empty()) {
-      std::fprintf(stderr,
-                   "tune-all: --resume needs --trace=FILE (the interrupted "
-                   "run's trace is the log it resumes from)\n");
-      return 2;
-    }
-    std::string rerr;
-    plan = search::loadResumePlan(
-        o.tracePath, o.machine.name, std::string(sim::contextName(o.context)),
-        o.n, std::string(search::strategyName(oc.strategy)), &rerr);
-    if (!rerr.empty()) {
-      std::fprintf(stderr, "tune-all: %s\n", rerr.c_str());
-      return 1;
-    }
-    if (plan.damagedLines > 0)
-      std::fprintf(stderr,
-                   "tune-all: warning: skipped %zu damaged trace line(s) (a "
-                   "torn tail from the kill is normal)\n",
-                   plan.damagedLines);
-    std::vector<search::KernelJob> remaining;
-    for (auto& job : jobs) {
-      if (plan.completed.count(job.name) != 0)
-        doneJobs.push_back(std::move(job));
-      else
-        remaining.push_back(std::move(job));
-    }
-    jobs = std::move(remaining);
-    std::fprintf(stderr,
-                 "tune-all: resume: %zu kernel(s) already complete in %s, "
-                 "%zu to go\n",
-                 doneJobs.size(), o.tracePath.c_str(), jobs.size());
-  }
-
   search::Orchestrator orch(o.machine, oc, &err);
   if (!err.empty()) {
     std::fprintf(stderr, "tune-all: %s\n", err.c_str());
@@ -827,16 +789,13 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
       };
       wkeyByName.emplace(job.name, std::move(key));
     }
-    for (const auto& job : doneJobs)
-      wkeyByName.emplace(job.name, wisdom::keyFor(job.hilSource, o.machine,
-                                                  o.context, o.n));
     std::fprintf(stderr, "wisdom: warm-starting %zu of %zu kernels from %s\n",
                  warmStarts, jobs.size(), o.wisdomPath.c_str());
   }
 
   // Write wisdom back after every kernel, not once at the end: save() is
   // atomic (pid-unique temp + rename), so a kill -9 at any point loses at
-  // most the in-flight kernel's record — which --resume re-harvests anyway.
+  // most the in-flight kernel's record — which a rerun re-harvests.
   size_t adopted = 0;
   auto recordWisdom = [&](const search::KernelOutcome& k) {
     if (o.wisdomPath.empty() || !k.result.ok) return;
@@ -849,19 +808,6 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
     if (!wis.save(o.wisdomPath, &werr))
       std::fprintf(stderr, "tune-all: wisdom save failed: %s\n", werr.c_str());
   };
-
-  // Resumed kernels: re-emit their results straight from the trace.  Their
-  // wisdom records are re-harvested through the (warm) cache, so a run that
-  // died between a kernel's trace event and its wisdom write-back still
-  // ends with the record — byte-identical to the uninterrupted run's.
-  std::vector<search::KernelOutcome> resumed;
-  for (const auto& job : doneJobs) {
-    search::KernelOutcome ko;
-    ko.name = job.name;
-    ko.result = search::resumedTuneResult(plan.completed.at(job.name));
-    recordWisdom(ko);
-    resumed.push_back(std::move(ko));
-  }
 
   std::fprintf(stderr, "tuning %zu kernels on %s (jobs=%d)...\n", jobs.size(),
                o.machine.name.c_str(), std::max(1, o.jobs));
@@ -885,44 +831,34 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
   TextTable t;
   t.setHeader({"kernel", "SV:WNT", "PF X", "PF Y", "UR:AE", "FKO cyc",
                "ifko cyc", "speedup", "evals", "faults", "hit%", "sec"});
-  auto addRow = [&](const search::KernelOutcome& k, const char* tag,
-                    bool timed) {
+  for (const auto& k : batch.kernels) {
     const search::TuneResult& r = k.result;
     if (!r.ok) {
-      t.addRow({k.name + (k.quarantined ? " (quarantined)" : tag), "-", "-",
+      t.addRow({k.name + (k.quarantined ? " (quarantined)" : ""), "-", "-",
                 "-", "-", "-", "-", "-", std::to_string(r.evaluations),
-                faultCell(k.faults), "-",
-                timed ? fmtFixed(k.seconds, 2) : "-"});
-      return;
+                faultCell(k.faults), "-", fmtFixed(k.seconds, 2)});
+      continue;
     }
     auto row = search::paramsRow(r.best, r.analysis);
     uint64_t lookups = k.cacheHits + k.cacheMisses;
     double hitPct = lookups == 0 ? 0.0
                                  : 100.0 * static_cast<double>(k.cacheHits) /
                                        static_cast<double>(lookups);
-    t.addRow({k.name + tag, row[0], row[1], row[2], row[3],
+    t.addRow({k.name, row[0], row[1], row[2], row[3],
               std::to_string(r.defaultCycles), std::to_string(r.bestCycles),
               fmtFixed(r.speedupOverDefaults(), 2) + "x",
               std::to_string(r.evaluations), faultCell(k.faults),
-              timed ? fmtFixed(hitPct, 1) : "-",
-              timed ? fmtFixed(k.seconds, 2) : "-"});
-  };
-  for (const auto& k : resumed) addRow(k, " (resumed)", /*timed=*/false);
-  for (const auto& k : batch.kernels) addRow(k, "", /*timed=*/true);
+              fmtFixed(hitPct, 1), fmtFixed(k.seconds, 2)});
+  }
   std::fputs(t.str().c_str(), stdout);
-
-  int resumedFailures = 0;
-  for (const auto& k : resumed) resumedFailures += k.result.ok ? 0 : 1;
 
   std::printf("\n%zu kernels (%d failed, %d quarantined) in %.2f s wall: "
               "%d evaluations, cache %.1f%% hits (%llu/%llu)",
-              resumed.size() + batch.kernels.size(),
-              batch.failures() + resumedFailures, batch.quarantined(),
+              batch.kernels.size(), batch.failures(), batch.quarantined(),
               batch.wallSeconds, batch.evaluations, 100.0 * batch.hitRate(),
               static_cast<unsigned long long>(batch.cacheHits),
               static_cast<unsigned long long>(batch.cacheHits +
                                               batch.cacheMisses));
-  if (!resumed.empty()) std::printf(", %zu resumed", resumed.size());
   if (!cacheName(o).empty())
     std::printf(", %zu cached entries in %s", orch.cache().size(),
                 cacheName(o).c_str());
@@ -930,10 +866,6 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
   if (batch.faults.total() > 0 || batch.faults.retries > 0)
     std::printf("evaluation failures survived: %s\n",
                 faultSummary(batch.faults).c_str());
-  for (const auto& k : resumed)
-    if (!k.result.ok)
-      std::fprintf(stderr, "FAILED %s: %s\n", k.name.c_str(),
-                   k.result.error.c_str());
   for (const auto& k : batch.kernels)
     if (!k.result.ok)
       std::fprintf(stderr, "FAILED %s: %s\n", k.name.c_str(),
@@ -951,7 +883,7 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
     std::printf("wisdom: %zu result(s) adopted (%zu records in %s)\n",
                 adopted, wis.size(), o.wisdomPath.c_str());
   }
-  return batch.failures() + resumedFailures == 0 ? 0 : 1;
+  return batch.failures() == 0 ? 0 : 1;
 }
 
 int cmdSim(const std::string& src, const Options& o) {
@@ -985,7 +917,7 @@ int cmdServe(const Options& o) {
   }
   serve::ServeConfig cfg;
   cfg.orchestrator = orchestratorConfig(o);
-  cfg.defaultArch = o.machine.name == "Opteron" ? "opteron" : "p4e";
+  cfg.defaultArch = o.machine;
   cfg.wisdomPath = o.wisdomPath;
   cfg.kernelsDir = o.kernelsDir;
   cfg.recvTimeoutMs = static_cast<int>(o.recvTimeoutMs);

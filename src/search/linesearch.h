@@ -134,6 +134,9 @@ struct TuneResult {
   uint64_t defaultCycles = 0;  ///< "FKO": no empirical search
   uint64_t bestCycles = 0;     ///< "ifko": after the search
   std::vector<DimensionResult> ledger;
+  /// Distinct candidates the search observed, cached or not: the same warm
+  /// or cold (evaluations actually run are a host fact, kept beside the
+  /// result in KernelOutcome::evaluationsRun).
   int evaluations = 0;
   /// Candidates the search observed (including DEFAULTS; cached repeats
   /// count — this is what a Budget meters) and the best-so-far improvement

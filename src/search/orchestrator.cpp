@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "search/threadpool.h"
 #include "support/hash.h"
@@ -95,18 +96,22 @@ class OrchestratedEvaluator {
       for (size_t k = 0; k < missIdx.size(); ++k) evalOne(k);
     }
 
-    for (size_t i : missIdx) {
+    for (size_t i : missIdx)
       orch_.cache_.insert(keyFor(specs[i]), out[i].cycles, out[i].status,
                           out[i].counters);
-      faults_.add(out[i]);
-      ++evaluations_;
-    }
-    for (size_t i = 0; i < count; ++i)
+    evaluationsRun_ += static_cast<int>(missIdx.size());
+    for (size_t i = 0; i < count; ++i) {
       if (copyFrom[i] != SIZE_MAX) {
         out[i] = out[copyFrom[i]];
         out[i].fromCache = true;
         out[i].attempts = 1;
       }
+      // Results count each distinct candidate once, on first sight, hit or
+      // miss — so a warm rerun tallies (and quarantines) exactly as the
+      // cold run did.  A replay has attempts == 1, so retries stay a count
+      // of what this process paid.
+      if (seen_.insert(specs[i]).second) faults_.add(out[i]);
+    }
 
     if (orch_.trace_ != nullptr) {
       for (size_t i = 0; i < count; ++i) {
@@ -139,8 +144,12 @@ class OrchestratedEvaluator {
 
   [[nodiscard]] const FailureCounts& faults() const { return faults_; }
 
+  /// Distinct candidates observed so far, cached or not.
+  [[nodiscard]] int candidatesSeen() const {
+    return static_cast<int>(seen_.size());
+  }
   /// Real (non-memoized) compile+test+time evaluations performed so far.
-  [[nodiscard]] int evaluations() const { return evaluations_; }
+  [[nodiscard]] int evaluationsRun() const { return evaluationsRun_; }
 
   /// Traces a finished dimension with its committed best.
   void onDimensionEnd(const std::string& dimension, uint64_t bestCycles,
@@ -166,7 +175,8 @@ class OrchestratedEvaluator {
   std::shared_ptr<EvalPipeline> pipeline_;
   EvalKey baseKey_;
   std::string lastDim_;
-  int evaluations_ = 0;
+  std::unordered_set<std::string> seen_;  ///< canonical specs observed
+  int evaluationsRun_ = 0;
   FailureCounts faults_;
 };
 
@@ -201,7 +211,6 @@ TuneResult runStrategySearch(const KernelJob& job,
   const EvalOutcome def = eval.evaluateBatch({defaults}, "DEFAULTS")[0];
   if (def.cycles == 0) {
     result.error = "default parameters failed to compile/time";
-    result.evaluations = eval.evaluations();
     return result;
   }
   strategy.observe(defaults, def);
@@ -272,7 +281,6 @@ TuneResult runStrategySearch(const KernelJob& job,
   result.best = best;
   result.bestCycles = bestCycles;
   result.ledger = strategy.ledger();
-  result.evaluations = eval.evaluations();
   result.proposals = proposals;
   result.ok = true;
   return result;
@@ -385,11 +393,12 @@ KernelOutcome Orchestrator::tune(const KernelJob& job) {
         "quarantined after " + std::to_string(q.faults.hard()) +
         " hard evaluation failures (" + std::to_string(q.faults.timeouts) +
         " timeouts, " + std::to_string(q.faults.crashes) + " crashes)";
-    outcome.result.evaluations = eval.evaluations();
     outcome.quarantined = true;
     quarantined_.push_back({job.name, eval.faults()});
   }
+  outcome.result.evaluations = eval.candidatesSeen();
   outcome.faults = eval.faults();
+  outcome.evaluationsRun = eval.evaluationsRun();
   outcome.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -406,7 +415,7 @@ KernelOutcome Orchestrator::tune(const KernelJob& job) {
           .field("best_cycles", outcome.result.bestCycles)
           .field("best_params", opt::formatTuningSpec(outcome.result.best))
           .field("speedup", outcome.result.speedupOverDefaults())
-          .field("evaluations", outcome.result.evaluations)
+          .field("evaluations", outcome.evaluationsRun)
           .field("proposals", outcome.result.proposals);
     } else {
       w.field("error", outcome.result.error)
@@ -436,7 +445,7 @@ BatchOutcome Orchestrator::tuneAll(
     const KernelOutcome& o = batch.kernels.back();
     batch.cacheHits += o.cacheHits;
     batch.cacheMisses += o.cacheMisses;
-    batch.evaluations += o.result.evaluations;
+    batch.evaluations += o.evaluationsRun;
     batch.faults += o.faults;
     if (onKernel) onKernel(o);
   }

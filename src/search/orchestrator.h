@@ -22,8 +22,16 @@
 // candidates keep hard-failing is quarantined (skipped with a diagnostic)
 // rather than poisoning the rest of the run.
 //
+// A kernel's results (winner, cycles, ledger, evaluations = distinct
+// candidates observed, failure tallies) never depend on the cache: a warm
+// rerun reports exactly what the cold run did, so rerunning a killed batch
+// on the same cache is its resume.  What this process paid — cache hits and
+// misses, evaluations actually run, retries, seconds — is reported beside
+// them as host facts.
+//
 // Trace event schema (one flat JSON object per line; the trace file is
-// opened in append mode, one run_start per run; see docs/TUNING.md):
+// opened in append mode, one run_start per run; see docs/TUNING.md).  The
+// `evaluations` of kernel_end and batch_end count evaluations run:
 //   run_start       machine, context, n, jobs, strategy, eval_timeout_ms,
 //                   max_attempts
 //   kernel_start    kernel, machine, context, n, jobs, strategy
@@ -118,10 +126,14 @@ struct KernelJob {
 struct KernelOutcome {
   std::string name;
   TuneResult result;
+  // Host facts: what this process paid for `result`.
   uint64_t cacheHits = 0;
   uint64_t cacheMisses = 0;
+  int evaluationsRun = 0;  ///< real (uncached) compile+test+time evaluations
   double seconds = 0.0;
-  /// Evaluation failures this kernel's search survived (post-retry).
+  /// Evaluation failures this kernel's search observed (post-retry), one
+  /// per distinct candidate whether or not the cache replayed it; only
+  /// `retries` is a host fact (a replay never retries).
   FailureCounts faults;
   /// The search was abandoned by the quarantine policy; result.ok is
   /// false and result.error carries the diagnostic.
@@ -132,7 +144,7 @@ struct BatchOutcome {
   std::vector<KernelOutcome> kernels;
   uint64_t cacheHits = 0;
   uint64_t cacheMisses = 0;
-  int evaluations = 0;  ///< real (uncached) compile+test+time evaluations
+  int evaluations = 0;  ///< evaluationsRun, summed over kernels
   double wallSeconds = 0.0;
   FailureCounts faults;  ///< summed over kernels
 

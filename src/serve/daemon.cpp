@@ -20,10 +20,6 @@ namespace ifko::serve {
 
 namespace {
 
-arch::MachineConfig machineFor(const std::string& archFlag) {
-  return archFlag == "opteron" ? arch::opteron() : arch::p4e();
-}
-
 std::string comboKey(const arch::MachineConfig& machine,
                      sim::TimeContext context, int64_t n) {
   return machine.name + "|" + std::string(sim::contextName(context)) + "|" +
@@ -140,8 +136,14 @@ std::string Daemon::handleKernelVerb(const Request& req) {
                          "no kernel '" + req.target + "' (see STATS)");
   const KernelEntry& entry = kernelIt->second;
 
-  const arch::MachineConfig machine =
-      machineFor(req.arch.empty() ? config_.defaultArch : req.arch);
+  arch::MachineConfig machine = config_.defaultArch;
+  if (!req.arch.empty()) {
+    const auto parsed = arch::parseArchFlag(req.arch);
+    if (!parsed.has_value())
+      return errorResponse("parse_error", "unknown arch '" + req.arch +
+                                              "' (want p4e|opteron)");
+    machine = *parsed;
+  }
   sim::TimeContext context = config_.orchestrator.search.context;
   if (!req.context.empty()) {
     const auto parsed = sim::parseContextFlag(req.context);
@@ -233,7 +235,7 @@ std::string Daemon::handleKernelVerb(const Request& req) {
   };
   const search::KernelOutcome outcome = orch.tune(job);
   ++stats_.tuned;
-  stats_.evaluations += static_cast<uint64_t>(outcome.result.evaluations);
+  stats_.evaluations += static_cast<uint64_t>(outcome.evaluationsRun);
   if (!outcome.result.ok)
     return errorResponse(outcome.quarantined ? "quarantined" : "tune_failed",
                          outcome.result.error);
@@ -249,7 +251,7 @@ std::string Daemon::handleKernelVerb(const Request& req) {
 
   if (store_.record(rec)) saveWisdom();
   return respond("tuned", rec.params, rec.bestCycles, rec.defaultCycles,
-                 outcome.result.evaluations);
+                 outcome.evaluationsRun);
 }
 
 std::string Daemon::handleExport(const Request& req) {

@@ -38,7 +38,7 @@ struct ServeConfig {
   /// daemon clones it per requested (arch, context, n) combination and
   /// always keeps pipelines warm.
   search::OrchestratorConfig orchestrator;
-  std::string defaultArch = "p4e";  ///< when a request names no arch
+  arch::MachineConfig defaultArch = arch::p4e();  ///< when a request names no arch
   /// Wisdom file: loaded at startup, re-saved after every new record and
   /// on SHUTDOWN; also the default EXPORT target.  "" = in-memory only.
   std::string wisdomPath;

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <vector>
 
+#include "arch/machine.h"
 #include "sim/timer.h"
 #include "support/str.h"
 
@@ -73,7 +74,7 @@ std::optional<Request> parseRequest(const std::string& line,
     const std::string key = tokens[i].substr(0, eq);
     const std::string value = tokens[i].substr(eq + 1);
     if (key == "arch") {
-      if (value != "p4e" && value != "opteron")
+      if (!arch::parseArchFlag(value).has_value())
         return fail("unknown arch '" + value + "' (want p4e|opteron)");
       req.arch = value;
     } else if (key == "context") {

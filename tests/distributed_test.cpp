@@ -3,9 +3,9 @@
 // eval cache at line granularity (O_APPEND single-write appends), shard
 // directories must dedup across writers, mergeFiles must be an
 // order-independent set union, concurrent wisdom savers must never tear
-// the file, and `tune-all --resume` must replay the trace into results
-// identical to an uninterrupted run — with zero duplicate evaluations —
-// after a kill -9 mid-batch.
+// the file, and a plain rerun on the same cache after a kill -9 — at a
+// kernel boundary or mid-kernel — must reproduce the uninterrupted run's
+// results exactly, with zero duplicate evaluations persisted.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,8 +24,6 @@
 #include "arch/machine.h"
 #include "search/evalcache.h"
 #include "search/orchestrator.h"
-#include "search/resume.h"
-#include "sim/timer.h"
 #include "wisdom/wisdom.h"
 
 namespace ifko::search {
@@ -296,187 +295,104 @@ TEST(WisdomConcurrency, ConcurrentSaversNeverTearTheFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace replay: what --resume trusts.
+// Kill -9, then rerun: the warm cache is the only resume.  Results never
+// depend on the cache, so rerunning the whole batch on the cache a killed
+// run left behind must end with results identical to an uninterrupted run
+// (evaluations included) and a cache holding exactly its evaluations.
 
-TEST(Resume, MissingTraceIsAnExplicitError) {
-  std::string err;
-  ResumePlan plan = loadResumePlan(tmpFile("dist_no_trace.jsonl"), "P4E",
-                                   "out-of-cache", 4096, "line", &err);
-  EXPECT_TRUE(plan.completed.empty());
-  EXPECT_FALSE(err.empty());
-}
-
-TEST(Resume, ReplayPairsOnlyMatchingCompletions) {
-  const std::string path = tmpFile("dist_replay.jsonl");
-  {
-    std::ofstream out(path);
-    out << R"({"event":"run_start","machine":"P4E","context":"out-of-cache","n":4096,"strategy":"line"})"
-        << "\n";
-    // Completed at our configuration: trusted.
-    out << R"({"event":"kernel_start","kernel":"ddot","machine":"P4E","context":"out-of-cache","n":4096,"strategy":"line"})"
-        << "\n";
-    out << R"({"event":"kernel_end","kernel":"ddot","ok":true,"best_params":"sv=Y ur=8","best_cycles":123,"default_cycles":456,"evaluations":17,"proposals":29})"
-        << "\n";
-    // Completed, but on another machine: never armed, never trusted.
-    out << R"({"event":"kernel_start","kernel":"sdot","machine":"Opteron","context":"out-of-cache","n":4096,"strategy":"line"})"
-        << "\n";
-    out << R"({"event":"kernel_end","kernel":"sdot","ok":true,"best_params":"sv=Y","best_cycles":1,"default_cycles":2,"evaluations":3,"proposals":4})"
-        << "\n";
-    // Failed at our configuration: re-tunes (warm), not completed.
-    out << R"({"event":"kernel_start","kernel":"sasum","machine":"P4E","context":"out-of-cache","n":4096,"strategy":"line"})"
-        << "\n";
-    out << R"({"event":"kernel_end","kernel":"sasum","ok":false,"error":"boom"})"
-        << "\n";
-    // In flight when the run died: start without end.
-    out << R"({"event":"kernel_start","kernel":"scopy","machine":"P4E","context":"out-of-cache","n":4096,"strategy":"line"})"
-        << "\n";
-    // The torn tail a kill -9 leaves behind.
-    out << R"({"event":"kern)";
-  }
-
-  std::string err;
-  ResumePlan plan =
-      loadResumePlan(path, "P4E", "out-of-cache", 4096, "line", &err);
-  EXPECT_TRUE(err.empty()) << err;
-  EXPECT_EQ(plan.runs, 1);
-  EXPECT_EQ(plan.damagedLines, 1u);
-  ASSERT_EQ(plan.completed.size(), 1u);
-  ASSERT_TRUE(plan.completed.count("ddot"));
-  const CompletedKernel& done = plan.completed.at("ddot");
-  EXPECT_EQ(done.bestParams, "sv=Y ur=8");
-  EXPECT_EQ(done.bestCycles, 123u);
-  EXPECT_EQ(done.defaultCycles, 456u);
-  EXPECT_EQ(done.evaluations, 17);
-  EXPECT_EQ(done.proposals, 29);
-
-  // The completed record round-trips into a usable TuneResult.
-  TuneResult result = resumedTuneResult(done);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.bestCycles, 123u);
-  EXPECT_EQ(result.defaultCycles, 456u);
-  EXPECT_EQ(result.evaluations, 17);
-
-  // A recorded winner that no longer parses fails loudly, not silently.
-  CompletedKernel bad = done;
-  bad.bestParams = "zz=?";
-  EXPECT_FALSE(resumedTuneResult(bad).ok);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// The acceptance test: kill -9 mid-batch at a deterministic point, resume,
-// and end with results identical to an uninterrupted run — zero duplicate
-// evaluations persisted.
-
-TEST(Resume, KillNineMidBatchResumesToIdenticalResults) {
-  const std::string cachePath = tmpFile("dist_kill_cache.jsonl");
-  const std::string tracePath = tmpFile("dist_kill_trace.jsonl");
-  const std::string refCachePath = tmpFile("dist_ref_cache.jsonl");
-  const std::string refTracePath = tmpFile("dist_ref_trace.jsonl");
-  for (const auto& f : {cachePath, tracePath, refCachePath, refTracePath})
-    std::remove(f.c_str());
-
+TEST(KillRerun, PlainRerunAfterKillNineMatchesUninterruptedRun) {
   const KernelSpec specs[] = {KernelSpec{BlasOp::Dot, ir::Scal::F64},
                               KernelSpec{BlasOp::Copy, ir::Scal::F32},
                               KernelSpec{BlasOp::Asum, ir::Scal::F32}};
   std::vector<KernelJob> jobs;
   for (const KernelSpec& s : specs) jobs.push_back(jobFor(s));
-
-  // The uninterrupted reference run.
-  std::map<std::string, TuneResult> reference;
-  {
+  auto configFor = [](const std::string& cachePath) {
     OrchestratorConfig oc;
     oc.search = smokeConfig(1);
-    oc.cachePath = refCachePath;
-    oc.tracePath = refTracePath;
+    oc.cachePath = cachePath;
+    return oc;
+  };
+
+  // The uninterrupted reference run.
+  const std::string refCachePath = tmpFile("dist_ref_cache.jsonl");
+  std::remove(refCachePath.c_str());
+  std::map<std::string, KernelOutcome> reference;
+  {
     std::string err;
-    Orchestrator orch(arch::p4e(), oc, &err);
+    Orchestrator orch(arch::p4e(), configFor(refCachePath), &err);
     ASSERT_TRUE(err.empty()) << err;
     BatchOutcome out = orch.tuneAll(jobs);
     ASSERT_EQ(out.failures(), 0);
-    for (const auto& k : out.kernels) reference[k.name] = k.result;
+    for (const auto& k : out.kernels) reference[k.name] = k;
   }
-
-  // The doomed run: a child process that dies by SIGKILL the instant the
-  // second kernel completes — a deterministic kernel boundary, so the
-  // trace holds exactly two completions and the cache exactly their
-  // evaluations.
-  pid_t pid = ::fork();
-  ASSERT_NE(pid, -1);
-  if (pid == 0) {
-    OrchestratorConfig oc;
-    oc.search = smokeConfig(1);
-    oc.cachePath = cachePath;
-    oc.tracePath = tracePath;
-    Orchestrator orch(arch::p4e(), oc);
-    int completed = 0;
-    (void)orch.tuneAll(jobs, [&](const KernelOutcome&) {
-      if (++completed == 2) ::raise(SIGKILL);
-    });
-    ::_exit(7);  // unreachable: the kill must land first
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status));
-  ASSERT_EQ(WTERMSIG(status), SIGKILL);
-
-  // Resume: replay the trace, skip the two completed kernels, tune the
-  // rest against the warm cache.
-  std::string err;
-  ResumePlan plan = loadResumePlan(
-      tracePath, "P4E",
-      std::string(sim::contextName(sim::TimeContext::OutOfCache)), 4096,
-      "line", &err);
-  EXPECT_TRUE(err.empty()) << err;
-  ASSERT_EQ(plan.completed.size(), 2u);
-
-  std::map<std::string, TuneResult> resumed;
-  std::vector<KernelJob> remaining;
-  for (const KernelJob& job : jobs) {
-    auto it = plan.completed.find(job.name);
-    if (it != plan.completed.end())
-      resumed[job.name] = resumedTuneResult(it->second);
-    else
-      remaining.push_back(job);
-  }
-  ASSERT_EQ(remaining.size(), 1u);
-  {
-    OrchestratorConfig oc;
-    oc.search = smokeConfig(1);
-    oc.cachePath = cachePath;
-    oc.tracePath = tracePath;
-    Orchestrator orch(arch::p4e(), oc, &err);
-    ASSERT_TRUE(err.empty()) << err;
-    BatchOutcome out = orch.tuneAll(remaining);
-    ASSERT_EQ(out.failures(), 0);
-    for (const auto& k : out.kernels) resumed[k.name] = k.result;
-  }
-
-  // Identical final results: every kernel's winner, cycle counts, and
-  // evaluation tally match the uninterrupted run (the kill landed at a
-  // kernel boundary, so even the in-flight accounting is unchanged).
-  ASSERT_EQ(resumed.size(), reference.size());
-  for (const auto& [name, ref] : reference) {
-    ASSERT_TRUE(resumed.count(name)) << name;
-    const TuneResult& got = resumed.at(name);
-    ASSERT_TRUE(got.ok) << got.error;
-    EXPECT_EQ(got.best, ref.best) << name;
-    EXPECT_EQ(got.bestCycles, ref.bestCycles) << name;
-    EXPECT_EQ(got.defaultCycles, ref.defaultCycles) << name;
-    EXPECT_EQ(got.evaluations, ref.evaluations) << name;
-  }
-
-  // Zero duplicate evaluations persisted across kill + resume, and the
-  // cache holds exactly the evaluations the uninterrupted run paid.
-  const std::vector<std::string> keys = cacheKeys(cachePath);
-  const std::set<std::string> uniqueKeys(keys.begin(), keys.end());
-  EXPECT_EQ(uniqueKeys.size(), keys.size()) << "duplicate evaluations persisted";
   const std::vector<std::string> refKeys = cacheKeys(refCachePath);
-  EXPECT_EQ(uniqueKeys,
-            std::set<std::string>(refKeys.begin(), refKeys.end()));
 
-  for (const auto& f : {cachePath, tracePath, refCachePath, refTracePath})
-    std::remove(f.c_str());
+  // Kill point 1: the instant the second kernel completes (a kernel
+  // boundary).  Kill point 2: mid-kernel, inside the second kernel's
+  // search, right after its DEFAULTS point was cached (the warm-start hook
+  // runs exactly then).
+  enum class KillAt { KernelBoundary, MidKernel };
+  for (KillAt at : {KillAt::KernelBoundary, KillAt::MidKernel}) {
+    const bool boundary = at == KillAt::KernelBoundary;
+    SCOPED_TRACE(boundary ? "kill at a kernel boundary" : "kill mid-kernel");
+    const std::string cachePath = tmpFile("dist_kill_cache.jsonl");
+    std::remove(cachePath.c_str());
+
+    pid_t pid = ::fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+      std::vector<KernelJob> doomed = jobs;
+      if (!boundary)
+        doomed[1].warmStartProvider =
+            [](const EvalOutcome&) -> std::optional<opt::TuningParams> {
+          ::raise(SIGKILL);
+          return std::nullopt;
+        };
+      Orchestrator orch(arch::p4e(), configFor(cachePath));
+      int completed = 0;
+      (void)orch.tuneAll(doomed, [&](const KernelOutcome&) {
+        if (boundary && ++completed == 2) ::raise(SIGKILL);
+      });
+      ::_exit(7);  // unreachable: the kill must land first
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+    // The plain rerun: the same batch on the same cache.
+    std::string err;
+    Orchestrator orch(arch::p4e(), configFor(cachePath), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    BatchOutcome out = orch.tuneAll(jobs);
+    ASSERT_EQ(out.failures(), 0);
+    ASSERT_EQ(out.kernels.size(), reference.size());
+    for (const KernelOutcome& got : out.kernels) {
+      const KernelOutcome& ref = reference.at(got.name);
+      EXPECT_EQ(got.result.best, ref.result.best) << got.name;
+      EXPECT_EQ(got.result.bestCycles, ref.result.bestCycles) << got.name;
+      EXPECT_EQ(got.result.defaultCycles, ref.result.defaultCycles)
+          << got.name;
+      EXPECT_EQ(got.result.ledger, ref.result.ledger) << got.name;
+      EXPECT_EQ(got.result.evaluations, ref.result.evaluations) << got.name;
+      EXPECT_EQ(got.result.proposals, ref.result.proposals) << got.name;
+      EXPECT_EQ(got.faults.total(), ref.faults.total()) << got.name;
+    }
+    // The first kernel finished before either kill: nothing re-run.
+    EXPECT_EQ(out.kernels[0].evaluationsRun, 0);
+    EXPECT_EQ(out.kernels[0].cacheMisses, 0u);
+
+    // Zero duplicate evaluations persisted across kill + rerun, and the
+    // cache holds exactly the evaluations the uninterrupted run paid.
+    const std::vector<std::string> keys = cacheKeys(cachePath);
+    const std::set<std::string> uniqueKeys(keys.begin(), keys.end());
+    EXPECT_EQ(uniqueKeys.size(), keys.size())
+        << "duplicate evaluations persisted";
+    EXPECT_EQ(uniqueKeys,
+              std::set<std::string>(refKeys.begin(), refKeys.end()));
+    std::remove(cachePath.c_str());
+  }
+  std::remove(refCachePath.c_str());
 }
 
 }  // namespace

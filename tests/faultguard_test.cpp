@@ -444,11 +444,53 @@ TEST(FailureReplay, WarmRunReproducesColdOutcomesWithoutEvaluating) {
     warm = orch.tune({spec.name(), spec.hilSource(), &spec});
   }
   ASSERT_TRUE(warm.result.ok) << warm.result.error;
-  EXPECT_EQ(warm.result.evaluations, 0);  // everything replayed from cache
+  EXPECT_EQ(warm.evaluationsRun, 0);  // everything replayed from cache
+  EXPECT_EQ(warm.result.evaluations, cold.result.evaluations);
+  EXPECT_EQ(warm.faults.testerFails, cold.faults.testerFails);
   EXPECT_EQ(warm.cacheMisses, 0u);
   EXPECT_EQ(cold.result.best, warm.result.best);
   EXPECT_EQ(cold.result.bestCycles, warm.result.bestCycles);
   EXPECT_EQ(cold.result.ledger, warm.result.ledger);
+  std::remove(cachePath.c_str());
+}
+
+// A warm run replays the crashes the cold run cached — and counts them, so
+// a kernel quarantined cold stays quarantined warm, with the same
+// diagnostic, even with no injector left to crash anything.
+TEST(FailureReplay, WarmRunStaysQuarantinedWithoutTheInjector) {
+  std::string cachePath = tmpFile("fault_quarantine_replay.cache.jsonl");
+  std::remove(cachePath.c_str());
+  KernelSpec spec{BlasOp::Scal, ir::Scal::F32};
+
+  OrchestratorConfig oc;
+  oc.search = SearchConfig::smoke();
+  oc.search.n = 1024;
+  oc.search.maxEvalAttempts = 1;
+  oc.quarantineAfter = 2;
+  oc.cachePath = cachePath;
+  std::string err;
+  auto plan = FaultPlan::parse("crash@2+1", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  oc.faultPlan = *plan;
+
+  KernelOutcome cold, warm;
+  {
+    Orchestrator orch(arch::p4e(), oc);
+    cold = orch.tune({spec.name(), spec.hilSource(), &spec});
+  }
+  ASSERT_TRUE(cold.quarantined) << cold.result.error;
+  {
+    OrchestratorConfig warmConfig = oc;
+    warmConfig.faultPlan = FaultPlan{};
+    Orchestrator orch(arch::p4e(), warmConfig);
+    warm = orch.tune({spec.name(), spec.hilSource(), &spec});
+  }
+  EXPECT_TRUE(warm.quarantined);
+  EXPECT_FALSE(warm.result.ok);
+  EXPECT_EQ(warm.result.error, cold.result.error);
+  EXPECT_EQ(warm.faults.crashes, cold.faults.crashes);
+  EXPECT_EQ(warm.result.evaluations, cold.result.evaluations);
+  EXPECT_EQ(warm.evaluationsRun, 0);
   std::remove(cachePath.c_str());
 }
 

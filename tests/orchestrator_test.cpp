@@ -94,7 +94,9 @@ TEST(Orchestrator, CacheRoundTripSecondRunAllHits) {
     warm = out.result;
     EXPECT_EQ(out.cacheMisses, 0u);  // 100% hit rate
     EXPECT_GT(out.cacheHits, 0u);
-    EXPECT_EQ(out.result.evaluations, 0);  // nothing re-timed
+    EXPECT_EQ(out.evaluationsRun, 0);  // nothing re-timed
+    // ...yet the result counts the same distinct candidates as the cold run.
+    EXPECT_EQ(out.result.evaluations, cold.evaluations);
   }
   EXPECT_EQ(cold.best, warm.best);
   EXPECT_EQ(cold.bestCycles, warm.bestCycles);

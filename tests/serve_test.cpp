@@ -140,6 +140,15 @@ TEST(ServeProtocol, FormatParsesBackToItself) {
   EXPECT_EQ(formatRequest(bare), "QUERY ddot");
 }
 
+TEST(Daemon, DefaultArchServesRequestsThatNameNone) {
+  ServeConfig cfg = smokeServeConfig();
+  cfg.defaultArch = arch::opteron();
+  Daemon d(cfg);
+  auto tuned = parseResponse(d.handleLine("TUNE dscal"));
+  ASSERT_TRUE(okOf(tuned));
+  EXPECT_EQ(strOf(tuned, "machine"), arch::opteron().name);
+}
+
 TEST(Daemon, StructuredErrorsForBadRequests) {
   Daemon d(smokeServeConfig());
   auto resp = parseResponse(d.handleLine("FROB ddot"));
@@ -149,6 +158,17 @@ TEST(Daemon, StructuredErrorsForBadRequests) {
   resp = parseResponse(d.handleLine("QUERY no_such_kernel"));
   EXPECT_FALSE(okOf(resp));
   EXPECT_EQ(strOf(resp, "code"), "unknown_kernel");
+
+  // An arch the daemon does not model is a parse error, never a silent
+  // tune on the default machine.
+  Request badArch;
+  badArch.verb = Request::Verb::Query;
+  badArch.target = "ddot";
+  badArch.arch = "Opteron";
+  resp = parseResponse(d.handleLine(formatRequest(badArch)));
+  EXPECT_FALSE(okOf(resp));
+  EXPECT_EQ(strOf(resp, "code"), "parse_error");
+  EXPECT_EQ(strOf(resp, "error"), "unknown arch 'Opteron' (want p4e|opteron)");
 
   resp = parseResponse(d.handleLine("EXPLAIN ddot"));
   EXPECT_FALSE(okOf(resp));
@@ -161,8 +181,9 @@ TEST(Daemon, StructuredErrorsForBadRequests) {
 
   resp = parseResponse(d.handleLine("STATS"));
   EXPECT_TRUE(okOf(resp));
-  EXPECT_EQ(numOf(resp, "requests"), 5);
-  EXPECT_EQ(numOf(resp, "errors"), 4);
+  EXPECT_EQ(numOf(resp, "requests"), 6);
+  EXPECT_EQ(numOf(resp, "errors"), 5);
+  EXPECT_EQ(numOf(resp, "tuned"), 0);
   EXPECT_EQ(numOf(resp, "evaluations"), 0);
   EXPECT_GE(numOf(resp, "kernels"), 14);
 }

@@ -327,6 +327,17 @@ TEST(Timer, ContextFlagParsesOnlyTheFlagSpellings) {
   EXPECT_FALSE(sim::parseContextFlag("").has_value());
 }
 
+TEST(Machines, ArchFlagParsesOnlyTheFlagSpellings) {
+  ASSERT_TRUE(arch::parseArchFlag("p4e").has_value());
+  EXPECT_EQ(arch::parseArchFlag("p4e")->name, arch::p4e().name);
+  ASSERT_TRUE(arch::parseArchFlag("opteron").has_value());
+  EXPECT_EQ(arch::parseArchFlag("opteron")->name, arch::opteron().name);
+  // The display names are not flag spellings, and nothing defaults.
+  EXPECT_FALSE(arch::parseArchFlag("Opteron").has_value());
+  EXPECT_FALSE(arch::parseArchFlag("P4E").has_value());
+  EXPECT_FALSE(arch::parseArchFlag("").has_value());
+}
+
 TEST(Machines, PresetsAreSane) {
   for (const auto& m : arch::allMachines()) {
     EXPECT_GE(m.caches.size(), 2u);

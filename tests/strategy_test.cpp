@@ -115,6 +115,7 @@ TEST(StrategyDeterminism, WarmCacheDoesNotChangeTrajectory) {
   std::string cachePath = tmpFile("strategy_warm.cache.jsonl");
   std::remove(cachePath.c_str());
   KernelSpec spec{BlasOp::Scal, ir::Scal::F64};
+  int warmRuns = -1;
   auto run = [&] {
     OrchestratorConfig oc;
     oc.search = smokeConfig(2);
@@ -125,7 +126,9 @@ TEST(StrategyDeterminism, WarmCacheDoesNotChangeTrajectory) {
     std::string err;
     Orchestrator orch(arch::p4e(), oc, &err);
     EXPECT_TRUE(err.empty()) << err;
-    return orch.tune({spec.name(), spec.hilSource(), &spec}).result;
+    KernelOutcome out = orch.tune({spec.name(), spec.hilSource(), &spec});
+    warmRuns = out.evaluationsRun;
+    return out.result;
   };
   TuneResult cold = run();
   TuneResult warm = run();
@@ -134,7 +137,8 @@ TEST(StrategyDeterminism, WarmCacheDoesNotChangeTrajectory) {
   EXPECT_EQ(cold.bestCycles, warm.bestCycles);
   EXPECT_EQ(cold.proposals, warm.proposals);
   EXPECT_EQ(cold.frontier, warm.frontier);
-  EXPECT_EQ(warm.evaluations, 0);  // everything served from the cache
+  EXPECT_EQ(warmRuns, 0);  // everything served from the cache
+  EXPECT_EQ(warm.evaluations, cold.evaluations);
   std::remove(cachePath.c_str());
 }
 
