@@ -22,7 +22,7 @@
 //   ifko tune <file.hil> [--arch=...] [--n=N] [--context=ooc|inl2]
 //             [--extensions] [--fast] [--jobs=N] [--cache=FILE] [--trace=FILE]
 //             [--wisdom=FILE]
-//             [--strategy=line|random|hillclimb|evolve|attribution|bandit]
+//             [--strategy=line|hillclimb|evolve|attribution|bandit]
 //             [--budget=N] [--budget-cycles=N] [--search-seed=S]
 //             [--eval-timeout-ms=N] [--eval-retries=N] [--quarantine=N]
 //             [--fault-plan=SPEC]
@@ -307,11 +307,18 @@ Options parseOptions(int argc, char** argv, int first) {
       o.exportPath = *v;
     } else if (auto v = value("--strategy=")) {
       auto kind = search::parseStrategyKind(*v);
-      if (!kind.has_value()) {
+      if (*v == "random") {
         std::fprintf(stderr,
-                     "unknown strategy '%s' (want line|random|hillclimb|"
-                     "evolve|attribution|bandit)\n",
-                     v->c_str());
+                     "strategy 'random' was removed; use evolve (its first "
+                     "generation is uniform random sampling)\n");
+        o.ok = false;
+      } else if (!kind.has_value()) {
+        std::string want;
+        for (search::StrategyKind k : search::allStrategies())
+          want += (want.empty() ? "" : "|") +
+                  std::string(search::strategyName(k));
+        std::fprintf(stderr, "unknown strategy '%s' (want %s)\n", v->c_str(),
+                     want.c_str());
         o.ok = false;
       } else {
         o.strategy = *kind;

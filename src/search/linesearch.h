@@ -101,7 +101,6 @@ struct Budget {
 /// strategyName.
 enum class StrategyKind : uint8_t {
   Line,
-  Random,
   HillClimb,
   Evolve,
   Attribution,

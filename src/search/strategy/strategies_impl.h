@@ -12,7 +12,6 @@
 namespace ifko::search {
 
 [[nodiscard]] std::unique_ptr<SearchStrategy> makeLineSearchStrategy();
-[[nodiscard]] std::unique_ptr<SearchStrategy> makeRandomStrategy(uint64_t seed);
 [[nodiscard]] std::unique_ptr<SearchStrategy> makeEvolutionaryStrategy(
     uint64_t seed);
 /// Steepest-ascent hill climbing with random restarts; `guided` steers

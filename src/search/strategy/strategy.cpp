@@ -11,7 +11,6 @@ namespace ifko::search {
 std::string_view strategyName(StrategyKind kind) {
   switch (kind) {
     case StrategyKind::Line: return "line";
-    case StrategyKind::Random: return "random";
     case StrategyKind::HillClimb: return "hillclimb";
     case StrategyKind::Evolve: return "evolve";
     case StrategyKind::Attribution: return "attribution";
@@ -28,8 +27,7 @@ std::optional<StrategyKind> parseStrategyKind(std::string_view name) {
 
 const std::vector<StrategyKind>& allStrategies() {
   static const std::vector<StrategyKind> kAll = {
-      StrategyKind::Line,   StrategyKind::Random,
-      StrategyKind::HillClimb, StrategyKind::Evolve,
+      StrategyKind::Line, StrategyKind::HillClimb, StrategyKind::Evolve,
       StrategyKind::Attribution, StrategyKind::Bandit};
   return kAll;
 }
@@ -38,7 +36,6 @@ std::unique_ptr<SearchStrategy> makeStrategy(StrategyKind kind,
                                              const Budget& budget) {
   switch (kind) {
     case StrategyKind::Line: return makeLineSearchStrategy();
-    case StrategyKind::Random: return makeRandomStrategy(budget.seed);
     case StrategyKind::HillClimb:
       return makeAttributionStrategy(budget.seed, /*guided=*/false);
     case StrategyKind::Evolve: return makeEvolutionaryStrategy(budget.seed);

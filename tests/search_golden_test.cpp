@@ -1,8 +1,9 @@
 // Golden snapshot of the search drivers: every registry kernel through
 // tuneKernel and every kernels_hil kernel through tuneSource, on both
 // machines and in both timing contexts, with smoke grids at N=1024; plus
-// every other strategy (random, hillclimb, evolve, attribution, bandit) at
-// budget 16 and the line search with the extension transforms (P4E,
+// every other strategy (attribution, hillclimb, evolve, bandit) at budget
+// 16, the bandit again at budget 64 (where it switches arms; driver
+// "bandit@64"), and the line search with the extension transforms (P4E,
 // out-of-cache).
 // Each record holds the winner, its cycles, the default cycles, the real
 // evaluation count and the per-dimension ledger, so any change to the
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/machine.h"
@@ -82,15 +84,19 @@ std::vector<std::string> snapshot() {
   }
   search::SearchConfig cfg = search::SearchConfig::smoke();
   cfg.n = kN;
-  search::Budget budget;
-  budget.maxEvaluations = 16;
-  for (search::StrategyKind kind :
-       {search::StrategyKind::Random, search::StrategyKind::Attribution,
-        search::StrategyKind::HillClimb, search::StrategyKind::Evolve,
-        search::StrategyKind::Bandit}) {
+  const std::pair<search::StrategyKind, int> budgeted[] = {
+      {search::StrategyKind::Attribution, 16},
+      {search::StrategyKind::HillClimb, 16},
+      {search::StrategyKind::Evolve, 16},
+      {search::StrategyKind::Bandit, 16},
+      {search::StrategyKind::Bandit, 64}};
+  for (const auto& [kind, evaluations] : budgeted) {
+    search::Budget budget;
+    budget.maxEvaluations = evaluations;
+    std::string driver(search::strategyName(kind));
+    if (evaluations != 16) driver += "@" + std::to_string(evaluations);
     for (const auto& spec : kernels::allKernels())
-      out.push_back(record(std::string(search::strategyName(kind)),
-                           spec.name(), arch::p4e().name,
+      out.push_back(record(driver, spec.name(), arch::p4e().name,
                            sim::TimeContext::OutOfCache,
                            search::tuneKernel(spec, arch::p4e(), cfg, kind,
                                               budget),

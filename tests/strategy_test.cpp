@@ -1,13 +1,14 @@
 // The pluggable search-strategy subsystem (the line search's own results
 // are held by search_golden_test): every strategy must be deterministic in
-// (seed, budget) at any --jobs,
-// the Budget must be enforced, and the ParamSpace helpers must only ever
+// (seed, budget) at any --jobs, an empty proposal must be final, the
+// Budget must be enforced, and the ParamSpace helpers must only ever
 // produce legal points.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "opt/paramspace.h"
 #include "search/orchestrator.h"
 #include "search/strategy/strategy.h"
+#include "support/hash.h"
 #include "support/json.h"
 #include "support/rng.h"
 
@@ -120,7 +122,7 @@ TEST(StrategyDeterminism, WarmCacheDoesNotChangeTrajectory) {
     OrchestratorConfig oc;
     oc.search = smokeConfig(2);
     oc.cachePath = cachePath;
-    oc.strategy = StrategyKind::Random;
+    oc.strategy = StrategyKind::Evolve;
     oc.budget.maxEvaluations = 24;
     oc.budget.seed = 11;
     std::string err;
@@ -149,9 +151,9 @@ TEST(StrategyDeterminism, DifferentSeedsDiverge) {
   b1.seed = 1;
   b2.seed = 2;
   TuneResult r1 = tuneKernel(spec, arch::p4e(), smokeConfig(),
-                             StrategyKind::Random, b1);
+                             StrategyKind::Evolve, b1);
   TuneResult r2 = tuneKernel(spec, arch::p4e(), smokeConfig(),
-                             StrategyKind::Random, b2);
+                             StrategyKind::Evolve, b2);
   ASSERT_TRUE(r1.ok && r2.ok);
   // Same kernel, same budget: the frontiers (which candidates improved,
   // when) should differ between seeds on any non-trivial space.
@@ -178,23 +180,12 @@ TEST(Budget, CapsObservedCandidates) {
   }
 }
 
-TEST(Budget, RandomStrategyHonorsBatchHintExactly) {
-  // RandomStrategy proposes divisible batches, so it can never overshoot.
-  KernelSpec spec{BlasOp::Copy, ir::Scal::F32};
-  Budget b;
-  b.maxEvaluations = 9;
-  TuneResult r = tuneKernel(spec, arch::p4e(), smokeConfig(),
-                            StrategyKind::Random, b);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.proposals, 9);
-}
-
 TEST(Budget, CycleBudgetStopsTheSearch) {
   KernelSpec spec{BlasOp::Dot, ir::Scal::F64};
   Budget tight;
   tight.maxCycles = 1;  // the DEFAULTS point already exhausts it
   TuneResult r = tuneKernel(spec, arch::p4e(), smokeConfig(),
-                            StrategyKind::Random, tight);
+                            StrategyKind::Evolve, tight);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.proposals, 1);
   EXPECT_EQ(r.bestCycles, r.defaultCycles);
@@ -220,7 +211,40 @@ TEST(StrategyRegistry, NamesRoundTrip) {
     EXPECT_NE(makeStrategy(kind, {}), nullptr);
   }
   EXPECT_FALSE(parseStrategyKind("annealing").has_value());
+  EXPECT_FALSE(parseStrategyKind("random").has_value());
   EXPECT_FALSE(parseStrategyKind("").has_value());
+}
+
+TEST(StrategyContract, AnEmptyProposalIsFinal) {
+  // The loop stops at the first empty proposal, so that is the one signal
+  // a strategy has for "finished": driven to exhaustion with synthetic
+  // outcomes, every kind must keep proposing nothing and keep its ledger.
+  const KernelSpec spec{BlasOp::Axpy, ir::Scal::F64};
+  const opt::ParamSpace space = spaceForSpec(spec, smokeConfig());
+  const TuningParams defaults = fkoDefaults(
+      fko::analyzeKernel(spec.hilSource(), arch::p4e()), arch::p4e());
+  auto outcome = [](const TuningParams& p) {
+    EvalOutcome o;
+    o.cycles = 1000 + fnv1a(opt::formatTuningSpec(p)) % 1000;
+    return o;
+  };
+  for (StrategyKind kind : allStrategies()) {
+    Budget b;
+    b.seed = 5;
+    std::unique_ptr<SearchStrategy> s = makeStrategy(kind, b);
+    s->init(space, defaults);
+    s->observe(defaults, outcome(defaults));
+    int proposals = 0;
+    for (Proposal p = s->propose(); !p.candidates.empty(); p = s->propose()) {
+      for (const TuningParams& c : p.candidates) s->observe(c, outcome(c));
+      proposals += static_cast<int>(p.candidates.size());
+      ASSERT_LT(proposals, 100000) << strategyName(kind) << " never finishes";
+    }
+    EXPECT_GT(proposals, 0) << strategyName(kind);
+    const std::vector<DimensionResult> ledger = s->ledger();
+    EXPECT_TRUE(s->propose().candidates.empty()) << strategyName(kind);
+    EXPECT_EQ(s->ledger(), ledger) << strategyName(kind);
+  }
 }
 
 // --- ParamSpace: grids, legality, neighborhood moves ------------------------

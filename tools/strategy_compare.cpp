@@ -6,8 +6,8 @@
 //
 // For each registry kernel (or the --kernel subset), the line search runs
 // first — unlimited unless --budget is given — and its proposal count
-// becomes the budget for every other strategy, so each stochastic search
-// gets exactly as many observed candidates as the paper's search spent.
+// becomes the budget for every other strategy.  A batch that starts under
+// the budget completes, so a strategy may use up to one batch more.
 // The table reports best cycles (and proposals used) per kernel x strategy,
 // with the per-kernel winner marked '*'.
 //
@@ -24,6 +24,7 @@
 // the gate is exactly reproducible locally.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "arch/machine.h"
 #include "kernels/registry.h"
 #include "search/strategy/strategy.h"
+#include "sim/timer.h"
 #include "support/str.h"
 #include "support/table.h"
 
@@ -47,6 +49,25 @@ int64_t numFlag(const char* name, const char* v) {
     std::exit(2);
   }
   return out;
+}
+
+/// The driver's arch and context parsers, with the driver's error text.
+arch::MachineConfig archFlag(const char* v) {
+  auto machine = arch::parseArchFlag(v);
+  if (!machine.has_value()) {
+    std::fprintf(stderr, "unknown arch '%s' (want p4e|opteron)\n", v);
+    std::exit(2);
+  }
+  return *machine;
+}
+
+sim::TimeContext contextFlag(const char* v) {
+  auto ctx = sim::parseContextFlag(v);
+  if (!ctx.has_value()) {
+    std::fprintf(stderr, "unknown context '%s' (want ooc|inl2)\n", v);
+    std::exit(2);
+  }
+  return *ctx;
 }
 
 }  // namespace
@@ -68,10 +89,9 @@ int main(int argc, char** argv) {
     else if (a == "--gate") gate = true;
     else if (startsWith(a, "--gate-tol="))
       gateTol = numFlag("--gate-tol", a.c_str() + 11);
-    else if (a == "--arch=opteron") machine = arch::opteron();
-    else if (a == "--arch=p4e") machine = arch::p4e();
-    else if (a == "--context=inl2") context = sim::TimeContext::InL2;
-    else if (a == "--context=ooc") context = sim::TimeContext::OutOfCache;
+    else if (startsWith(a, "--arch=")) machine = archFlag(a.c_str() + 7);
+    else if (startsWith(a, "--context="))
+      context = contextFlag(a.c_str() + 10);
     else if (startsWith(a, "--n=")) n = numFlag("--n", a.c_str() + 4);
     else if (startsWith(a, "--budget="))
       budget = numFlag("--budget", a.c_str() + 9);
