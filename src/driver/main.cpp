@@ -24,8 +24,7 @@
 //             [--wisdom=FILE]
 //             [--strategy=line|hillclimb|evolve|attribution|bandit]
 //             [--budget=N] [--budget-cycles=N] [--search-seed=S]
-//             [--eval-timeout-ms=N] [--eval-retries=N] [--quarantine=N]
-//             [--fault-plan=SPEC]
+//             [--eval-timeout-ms=N] [--quarantine=N] [--fault-plan=SPEC]
 //       The empirical search, with the per-dimension ledger.  --strategy
 //       picks the search policy (default: the paper's line search);
 //       --budget caps observed candidates, --budget-cycles caps simulated
@@ -36,17 +35,17 @@
 //       for this (kernel, arch, context, N-class) and writes the winner
 //       back keep-best (docs/SERVING.md).
 //       Fault isolation: --eval-timeout-ms deadlines each candidate in
-//       deterministic simulated work (0 = off), --eval-retries bounds extra
-//       attempts after a timeout/crash (default 1), --quarantine abandons a
+//       deterministic simulated work (0 = off), --quarantine abandons a
 //       kernel after N hard failures (default 3, 0 = never), and
 //       --fault-plan injects deterministic faults for testing (grammar in
-//       docs/TUNING.md).
+//       docs/TUNING.md).  Each candidate is evaluated once: the simulator
+//       is deterministic, so a timeout or crash would only recur.
 //
 //   ifko tune-all <dir> [--arch=...] [--n=N] [--context=ooc|inl2] [--fast]
 //                 [--extensions] [--jobs=N] [--cache=FILE] [--trace=FILE]
 //                 [--wisdom=FILE] [--strategy=...] [--budget=N]
 //                 [--budget-cycles=N] [--search-seed=S] [--eval-timeout-ms=N]
-//                 [--eval-retries=N] [--quarantine=N] [--fault-plan=SPEC]
+//                 [--quarantine=N] [--fault-plan=SPEC]
 //                 [--cache-dir=DIR] [--shard=NAME]
 //                 [--workers=N --worker-id=K]
 //       Batch-tunes every *.hil kernel in <dir> through the orchestrator and
@@ -111,6 +110,8 @@
 //       Unix socket path), via EXPORT/IMPORT temp files.
 #include <unistd.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -172,7 +173,6 @@ struct Options {
   int64_t budgetCycles = 0;  ///< max simulated cycles spent; 0 = unlimited
   int64_t searchSeed = 1;
   int64_t evalTimeoutMs = 0;  ///< per-candidate deadline; 0 = off
-  int64_t evalRetries = 1;    ///< extra attempts after a hard failure
   int64_t quarantine = 3;     ///< hard failures before abandoning; 0 = never
   search::FaultPlan faultPlan;
   std::string wisdomPath;  ///< --wisdom: warm-start + write-back store
@@ -204,12 +204,19 @@ Options parseOptions(int argc, char** argv, int first) {
     }
     o.compile.tuning = spec.params;
   };
+  // Values that end up in an int take maxValue = INT_MAX, so an
+  // out-of-range flag is an error instead of a silently narrowed number.
   auto intFlag = [&](const std::string& v, const char* name, int64_t minValue,
-                     int64_t* out) {
+                     int64_t* out, int64_t maxValue = INT64_MAX) {
     int64_t parsed = 0;
-    if (!parseInt64(v, &parsed) || parsed < minValue) {
-      std::fprintf(stderr, "bad %s (want integer >= %lld): '%s'\n", name,
-                   static_cast<long long>(minValue), v.c_str());
+    if (!parseInt64(v, &parsed) || parsed < minValue || parsed > maxValue) {
+      const std::string want =
+          maxValue == INT64_MAX
+              ? ">= " + std::to_string(minValue)
+              : "in " + std::to_string(minValue) + ".." +
+                    std::to_string(maxValue);
+      std::fprintf(stderr, "bad %s (want integer %s): '%s'\n", name,
+                   want.c_str(), v.c_str());
       o.ok = false;
       return;
     }
@@ -265,7 +272,7 @@ Options parseOptions(int argc, char** argv, int first) {
       o.nSet = true;
     } else if (auto v = value("--jobs=")) {
       int64_t jobs = 1;
-      intFlag(*v, "--jobs", 1, &jobs);
+      intFlag(*v, "--jobs", 1, &jobs, INT_MAX);
       o.jobs = static_cast<int>(jobs);
     } else if (auto v = value("--cache=")) {
       o.cachePath = *v;
@@ -274,12 +281,12 @@ Options parseOptions(int argc, char** argv, int first) {
     } else if (auto v = value("--shard=")) {
       o.cacheShard = *v;
     } else if (auto v = value("--workers=")) {
-      intFlag(*v, "--workers", 1, &o.workers);
+      intFlag(*v, "--workers", 1, &o.workers, INT_MAX);
     } else if (auto v = value("--worker-id=")) {
-      intFlag(*v, "--worker-id", 0, &o.workerId);
+      intFlag(*v, "--worker-id", 0, &o.workerId, INT_MAX);
       o.workerIdSet = true;
     } else if (auto v = value("--recv-timeout-ms=")) {
-      intFlag(*v, "--recv-timeout-ms", 0, &o.recvTimeoutMs);
+      intFlag(*v, "--recv-timeout-ms", 0, &o.recvTimeoutMs, INT_MAX);
     } else if (auto v = value("--from=")) {
       o.fromPaths.push_back(*v);
     } else if (auto v = value("--trace=")) {
@@ -289,7 +296,7 @@ Options parseOptions(int argc, char** argv, int first) {
     } else if (auto v = value("--socket=")) {
       o.socketPath = *v;
     } else if (auto v = value("--port=")) {
-      intFlag(*v, "--port", 0, &o.tcpPort);
+      intFlag(*v, "--port", 0, &o.tcpPort, 65535);
     } else if (auto v = value("--kernels=")) {
       o.kernelsDir = *v;
     } else if (a == "--tune") {
@@ -324,17 +331,15 @@ Options parseOptions(int argc, char** argv, int first) {
         o.strategy = *kind;
       }
     } else if (auto v = value("--budget=")) {
-      intFlag(*v, "--budget", 1, &o.budget);
+      intFlag(*v, "--budget", 1, &o.budget, INT_MAX);
     } else if (auto v = value("--budget-cycles=")) {
       intFlag(*v, "--budget-cycles", 1, &o.budgetCycles);
     } else if (auto v = value("--search-seed=")) {
       intFlag(*v, "--search-seed", 0, &o.searchSeed);
     } else if (auto v = value("--eval-timeout-ms=")) {
       intFlag(*v, "--eval-timeout-ms", 0, &o.evalTimeoutMs);
-    } else if (auto v = value("--eval-retries=")) {
-      intFlag(*v, "--eval-retries", 0, &o.evalRetries);
     } else if (auto v = value("--quarantine=")) {
-      intFlag(*v, "--quarantine", 0, &o.quarantine);
+      intFlag(*v, "--quarantine", 0, &o.quarantine, INT_MAX);
     } else if (auto v = value("--fault-plan=")) {
       std::string perr;
       auto plan = search::FaultPlan::parse(*v, &perr);
@@ -376,7 +381,6 @@ search::SearchConfig searchConfig(const Options& o) {
   cfg.jobs = o.jobs;
   cfg.searchExtensions = o.extensions;
   cfg.evalTimeoutMs = o.evalTimeoutMs;
-  cfg.maxEvalAttempts = static_cast<int>(o.evalRetries) + 1;
   return cfg;
 }
 
@@ -408,7 +412,7 @@ std::string cacheName(const Options& o) {
   return o.cacheDirPath.empty() ? o.cachePath : o.cacheDirPath;
 }
 
-/// "2 timeouts, 1 crash, 3 retries" — only the nonzero categories.
+/// "2 timeouts, 1 crash" — only the nonzero categories.
 std::string faultSummary(const search::FailureCounts& f) {
   std::string s;
   auto item = [&](int n, const char* one, const char* many) {
@@ -420,7 +424,6 @@ std::string faultSummary(const search::FailureCounts& f) {
   item(f.crashes, "crash", "crashes");
   item(f.testerFails, "tester fail", "tester fails");
   item(f.compileFails, "compile fail", "compile fails");
-  item(f.retries, "retry", "retries");
   return s;
 }
 
@@ -574,7 +577,7 @@ int cmdTune(const std::string& path, const std::string& src, const Options& o) {
                 r.proposals, budget.c_str(),
                 static_cast<unsigned long long>(oc.budget.seed));
   }
-  if (outcome.faults.total() > 0 || outcome.faults.retries > 0)
+  if (outcome.faults.total() > 0)
     std::printf("evaluation failures survived: %s\n",
                 faultSummary(outcome.faults).c_str());
   if (!cacheName(o).empty())
@@ -870,7 +873,7 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
     std::printf(", %zu cached entries in %s", orch.cache().size(),
                 cacheName(o).c_str());
   std::printf("\n");
-  if (batch.faults.total() > 0 || batch.faults.retries > 0)
+  if (batch.faults.total() > 0)
     std::printf("evaluation failures survived: %s\n",
                 faultSummary(batch.faults).c_str());
   for (const auto& k : batch.kernels)

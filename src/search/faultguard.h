@@ -13,10 +13,12 @@
 //     SearchConfig::evalTimeoutMs) turns hangs into EvalOutcome::Timeout;
 //   * every exception is caught and classified — sim::TimeoutError becomes
 //     Timeout, anything else becomes Crash — so a throwing candidate can
-//     never unwind into a worker thread (std::terminate) or the search;
-//   * hard failures (Timeout/Crash) are retried up to
-//     SearchConfig::maxEvalAttempts, because they may be transient;
-//     deterministic rejections (CompileFail/TesterFail) are not.
+//     never unwind into a worker thread (std::terminate) or the search.
+//
+// Each candidate is evaluated exactly once.  The simulator is
+// deterministic, so a candidate that times out or crashes does so again on
+// a second try; the orchestrator's quarantine, not a retry, is what keeps a
+// failing kernel from poisoning the batch.
 //
 // FaultPlan/FaultInjector make that machinery testable: a deterministic,
 // seedable schedule of injected crash/hang/tester faults applied at the
@@ -36,14 +38,13 @@
 
 namespace ifko::search {
 
-/// Per-kernel evaluation-failure tally, post-retry: what the orchestrator
-/// reports per kernel and the quarantine policy counts.
+/// Per-kernel evaluation-failure tally: what the orchestrator reports per
+/// kernel and the quarantine policy counts.
 struct FailureCounts {
   int timeouts = 0;
   int crashes = 0;
   int testerFails = 0;
   int compileFails = 0;
-  int retries = 0;  ///< extra attempts spent on hard failures
 
   /// Hard failures: the quarantine-relevant count.
   [[nodiscard]] int hard() const { return timeouts + crashes; }
@@ -58,32 +59,28 @@ struct FailureCounts {
       case EvalOutcome::Status::CompileFail: ++compileFails; break;
       default: break;
     }
-    retries += o.attempts - 1;
   }
   FailureCounts& operator+=(const FailureCounts& o) {
     timeouts += o.timeouts;
     crashes += o.crashes;
     testerFails += o.testerFails;
     compileFails += o.compileFails;
-    retries += o.retries;
     return *this;
   }
 };
 
 /// A deterministic schedule of injected evaluation faults.  Evaluations
 /// are numbered 1, 2, ... in the order the guarded path starts them (per
-/// FaultInjector); a rule decides from that index and the attempt number
-/// whether to fault.  Spec grammar (comma-separated rules):
+/// FaultInjector); a rule decides from that index whether to fault.  Spec
+/// grammar (comma-separated rules):
 ///
 ///   kind@N        fault evaluation N
 ///   kind@N+K      fault evaluations N, N+K, N+2K, ...
 ///   kind%P:seed=S fault pseudo-randomly ~1/P of evaluations (SplitMix64
 ///                 of S and the index, so the schedule is seed-stable)
-///   ...:once      any rule: transient — fires on attempt 1 only, so a
-///                 retry succeeds
 ///   kind          crash | hang | tester
 ///
-/// e.g. "crash@3,hang@10+7:once,tester%5:seed=42".
+/// e.g. "crash@3,hang@10+7,tester%5:seed=42".
 struct FaultPlan {
   enum class Kind : uint8_t { Crash, Hang, TesterFail };
   struct Rule {
@@ -92,14 +89,12 @@ struct FaultPlan {
     uint64_t every = 0;  ///< repeat period; 0 = fire once (at-rules only)
     uint64_t oneIn = 0;  ///< random rule: fire when hash(seed,i) % oneIn == 0
     uint64_t seed = 1;
-    bool transient = false;
   };
   std::vector<Rule> rules;
 
   [[nodiscard]] bool empty() const { return rules.empty(); }
-  /// The fault (if any) rule-scheduled for this evaluation and attempt.
-  [[nodiscard]] std::optional<Kind> fires(uint64_t evalIndex,
-                                          int attempt) const;
+  /// The fault (if any) rule-scheduled for this evaluation.
+  [[nodiscard]] std::optional<Kind> fires(uint64_t evalIndex) const;
   /// Parses the spec grammar above; "" parses to an empty plan.
   [[nodiscard]] static std::optional<FaultPlan> parse(const std::string& spec,
                                                       std::string* error);
@@ -120,10 +115,10 @@ class FaultInjector {
   [[nodiscard]] bool empty() const { return plan_.empty(); }
   /// Claims the next evaluation index (first call returns 1).
   [[nodiscard]] uint64_t nextIndex() { return ++count_; }
-  /// Raises the fault scheduled for (evalIndex, attempt), if any: throws
-  /// for crash/hang, returns a forced outcome for tester faults, returns
+  /// Raises the fault scheduled for evalIndex, if any: throws for
+  /// crash/hang, returns a forced outcome for tester faults, returns
   /// nullopt when no fault is due.
-  std::optional<EvalOutcome> fire(uint64_t evalIndex, int attempt) const;
+  std::optional<EvalOutcome> fire(uint64_t evalIndex) const;
   /// Evaluation indices handed out so far.
   [[nodiscard]] uint64_t evaluationsStarted() const { return count_.load(); }
 
@@ -132,14 +127,15 @@ class FaultInjector {
   std::atomic<uint64_t> count_{0};
 };
 
-/// evaluateCandidate with containment: deadline, classification, retry.
+/// evaluateCandidate with containment: deadline and classification.
 /// Never throws — every failure comes back as a structured EvalOutcome.
 /// req.injector (may be null) injects the FaultPlan's scheduled faults.
 [[nodiscard]] EvalOutcome guardedEvaluateCandidate(const EvalRequest& req);
 
 /// The deterministic ms -> simulated-work conversion behind evalTimeoutMs:
 /// steps = ms * 100'000 interpreter steps, cycles = ms * 1'000'000 model
-/// cycles.  Exposed so tests and docs agree with the implementation.
+/// cycles, each saturating at UINT64_MAX.  Exposed so tests and docs agree
+/// with the implementation.
 inline constexpr uint64_t kStepsPerTimeoutMs = 100'000;
 inline constexpr uint64_t kCyclesPerTimeoutMs = 1'000'000;
 

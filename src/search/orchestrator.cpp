@@ -104,12 +104,10 @@ class OrchestratedEvaluator {
       if (copyFrom[i] != SIZE_MAX) {
         out[i] = out[copyFrom[i]];
         out[i].fromCache = true;
-        out[i].attempts = 1;
       }
       // Results count each distinct candidate once, on first sight, hit or
       // miss — so a warm rerun tallies (and quarantines) exactly as the
-      // cold run did.  A replay has attempts == 1, so retries stay a count
-      // of what this process paid.
+      // cold run did.
       if (seen_.insert(specs[i]).second) faults_.add(out[i]);
     }
 
@@ -125,7 +123,6 @@ class OrchestratedEvaluator {
             .field("verdict", out[i].status == EvalOutcome::Status::Timed
                                   ? "pass"
                                   : evalStatusName(out[i].status));
-        if (out[i].attempts > 1) w.field("attempts", out[i].attempts);
         // Trace v3: timed candidates carry their observability counters.
         if (out[i].counters.has_value())
           w.field("counters", countersJson(*out[i].counters));
@@ -319,8 +316,7 @@ Orchestrator::Orchestrator(const arch::MachineConfig& machine,
         .field("n", config_.search.n)
         .field("jobs", config_.search.jobs)
         .field("strategy", std::string(strategyName(config_.strategy)))
-        .field("eval_timeout_ms", config_.search.evalTimeoutMs)
-        .field("max_attempts", std::max(1, config_.search.maxEvalAttempts));
+        .field("eval_timeout_ms", config_.search.evalTimeoutMs);
     trace(w.str());
   }
   if (error != nullptr) *error = problems;
@@ -417,7 +413,6 @@ KernelOutcome Orchestrator::tune(const KernelJob& job) {
         .field("crashes", outcome.faults.crashes)
         .field("tester_fails", outcome.faults.testerFails)
         .field("compile_fails", outcome.faults.compileFails)
-        .field("retries", outcome.faults.retries)
         .field("cache_hits", outcome.cacheHits)
         .field("cache_misses", outcome.cacheMisses)
         .field("seconds", outcome.seconds);

@@ -17,34 +17,32 @@
 //
 // Evaluation is fault-isolated (search/faultguard.h): every candidate runs
 // through guardedEvaluateCandidate — cooperative deadline, exception
-// containment, bounded retry — so a crashing or hanging candidate scores a
-// structured failure instead of killing the batch, and a kernel whose
-// candidates keep hard-failing is quarantined (skipped with a diagnostic)
-// rather than poisoning the rest of the run.
+// containment — so a crashing or hanging candidate scores a structured
+// failure instead of killing the batch, and a kernel whose candidates keep
+// hard-failing is quarantined (skipped with a diagnostic) rather than
+// poisoning the rest of the run.
 //
 // A kernel's results (winner, cycles, ledger, evaluations = distinct
 // candidates observed, failure tallies) never depend on the cache: a warm
 // rerun reports exactly what the cold run did, so rerunning a killed batch
 // on the same cache is its resume.  What this process paid — cache hits and
-// misses, evaluations actually run, retries, seconds — is reported beside
-// them as host facts.
+// misses, evaluations actually run, seconds — is reported beside them as
+// host facts.
 //
 // Trace event schema (one flat JSON object per line; the trace file is
 // opened in append mode, one run_start per run; see docs/TUNING.md).  The
 // `evaluations` of kernel_end and batch_end count evaluations run:
-//   run_start       machine, context, n, jobs, strategy, eval_timeout_ms,
-//                   max_attempts
+//   run_start       machine, context, n, jobs, strategy, eval_timeout_ms
 //   kernel_start    kernel, machine, context, n, jobs, strategy
 //   dimension_start kernel, dim
 //   candidate       kernel, dim, params, cycles, cache (hit|miss),
 //                   verdict (pass|compile_fail|tester_fail|timeout|crash|
-//                   fail), [attempts]
+//                   fail)
 //   dimension_end   kernel, dim, best_cycles, best_params
 //   kernel_end      kernel, ok, [error, quarantined] | [default_cycles,
 //                   best_cycles, best_params, speedup, evaluations,
 //                   proposals], timeouts, crashes, tester_fails,
-//                   compile_fails, retries, cache_hits, cache_misses,
-//                   seconds
+//                   compile_fails, cache_hits, cache_misses, seconds
 //   batch_end       kernels, failures, quarantined, evaluations, timeouts,
 //                   crashes, cache_hits, cache_misses, hit_rate, seconds
 #pragma once
@@ -68,7 +66,7 @@ namespace ifko::search {
 
 struct OrchestratorConfig {
   /// search.jobs sizes the worker pool (values < 1 normalize to 1);
-  /// search.evalTimeoutMs / maxEvalAttempts set the fault-isolation policy
+  /// search.evalTimeoutMs sets the per-candidate deadline
   /// (search/faultguard.h).
   SearchConfig search;
   std::string cachePath;  ///< persistent JSONL evaluation cache ("" = memory only)
@@ -86,7 +84,7 @@ struct OrchestratorConfig {
   StrategyKind strategy = StrategyKind::Line;
   Budget budget;  ///< default: unlimited, seed 1
   /// Quarantine: once a kernel accumulates this many hard failures
-  /// (Timeout/Crash, post-retry), its search is abandoned with a
+  /// (Timeout/Crash), its search is abandoned with a
   /// diagnostic instead of poisoning the batch.  0 = never quarantine.
   int quarantineAfter = 3;
   /// Deterministic fault injection for tests/benchmarks; empty = none.
@@ -131,9 +129,8 @@ struct KernelOutcome {
   uint64_t cacheMisses = 0;
   int evaluationsRun = 0;  ///< real (uncached) compile+test+time evaluations
   double seconds = 0.0;
-  /// Evaluation failures this kernel's search observed (post-retry), one
-  /// per distinct candidate whether or not the cache replayed it; only
-  /// `retries` is a host fact (a replay never retries).
+  /// Evaluation failures this kernel's search observed, one per distinct
+  /// candidate whether or not the cache replayed it.
   FailureCounts faults;
   /// The search was abandoned by the quarantine policy; result.ok is
   /// false and result.error carries the diagnostic.

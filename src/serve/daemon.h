@@ -7,7 +7,7 @@
 // (OrchestratorConfig::keepPipelinesWarm) — so "give me the tuned kernel"
 // is a wisdom lookup that never touches the evaluator, and a full
 // empirical search runs only on the cache-miss path.  Misses route through
-// the ordinary fault-isolated orchestrator (deadline, retry, quarantine),
+// the ordinary fault-isolated orchestrator (deadline, quarantine),
 // so a crashing or hanging kernel scores a structured error response and
 // the daemon keeps serving.
 //

@@ -21,7 +21,7 @@ namespace ifko::sim {
 
 /// A candidate evaluation exceeded its cooperative step/cycle budget.
 /// Deliberately its own type: the guarded evaluator must tell a deadline
-/// (Timeout, possibly transient) from a machine fault (Crash).
+/// (Timeout) from a machine fault (Crash).
 class TimeoutError : public std::runtime_error {
  public:
   explicit TimeoutError(const std::string& what) : std::runtime_error(what) {}

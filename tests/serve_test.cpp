@@ -379,7 +379,6 @@ TEST(Daemon, SurvivesQuarantinedTunes) {
   auto plan = search::FaultPlan::parse("crash@2+1", &planError);
   ASSERT_TRUE(plan.has_value()) << planError;
   cfg.orchestrator.faultPlan = *plan;
-  cfg.orchestrator.search.maxEvalAttempts = 1;
   cfg.orchestrator.quarantineAfter = 2;
 
   // Pre-seed wisdom for ddot so the hit path has something to serve.

@@ -58,7 +58,6 @@ struct KernelStats {
   int compileFails = 0;
   int timeouts = 0;
   int crashes = 0;
-  int retries = 0;
   std::vector<DimBest> ledger;
   bool ok = false;
   bool ended = false;
@@ -190,9 +189,6 @@ int main(int argc, char** argv) {
         else if (verdict == "compile_fail") ++k.compileFails;
         else if (verdict == "timeout") ++k.timeouts;
         else if (verdict == "crash") ++k.crashes;
-        k.retries += static_cast<int>(getNum(obj, "attempts")) > 1
-                         ? static_cast<int>(getNum(obj, "attempts")) - 1
-                         : 0;
         if (verdict == "pass") {
           std::optional<sim::Attribution> attr = readAttr(obj);
           if (attr.has_value()) {
@@ -238,14 +234,13 @@ int main(int argc, char** argv) {
     t.setHeader({"kernel", "cands", "hit%", "tester-", "compile-", "t/o",
                  "crash", "FKO cyc", "ifko cyc", "speedup", "sec"});
     int totalCands = 0, totalHits = 0, totalTimeouts = 0, totalCrashes = 0;
-    int totalRetries = 0, quarantinedKernels = 0;
+    int quarantinedKernels = 0;
     for (const auto& name : order) {
       const KernelStats& k = kernels.at(name);
       totalCands += k.candidates;
       totalHits += k.hits;
       totalTimeouts += k.timeouts;
       totalCrashes += k.crashes;
-      totalRetries += k.retries;
       quarantinedKernels += k.quarantined ? 1 : 0;
       double hitPct = k.candidates == 0 ? 0.0 : 100.0 * k.hits / k.candidates;
       std::string label = k.name + (k.quarantined ? " (quarantined)" : "");
@@ -271,9 +266,9 @@ int main(int argc, char** argv) {
                 "cache",
                 order.size(), totalCands,
                 totalCands == 0 ? 0.0 : 100.0 * totalHits / totalCands);
-    if (totalTimeouts + totalCrashes + totalRetries > 0)
-      std::printf(", %d timeouts / %d crashes / %d retries survived",
-                  totalTimeouts, totalCrashes, totalRetries);
+    if (totalTimeouts + totalCrashes > 0)
+      std::printf(", %d timeouts / %d crashes survived", totalTimeouts,
+                  totalCrashes);
     if (quarantinedKernels > 0)
       std::printf(", %d kernel(s) quarantined", quarantinedKernels);
     if (sawBatchEnd) std::printf(", %.2f s wall", batchSeconds);
