@@ -248,10 +248,16 @@ TuneResult runStrategySearch(const KernelJob& job,
     return false;
   };
 
-  while (!budgetSpent()) {
+  // The proposal after the budget runs out is discarded unevaluated: it is
+  // made only so the strategy settles (and ledgers) the batch it last saw.
+  for (;;) {
     Proposal p = strategy.propose();
     flushLedger();
-    if (p.candidates.empty()) break;
+    if (p.candidates.empty() || budgetSpent()) break;
+    if (budget.maxEvaluations > 0)
+      p.candidates.resize(std::min(
+          p.candidates.size(),
+          static_cast<size_t>(budget.maxEvaluations - proposals)));
     const std::vector<EvalOutcome> outcomes =
         eval.evaluateBatch(p.candidates, p.dimension);
     for (size_t i = 0; i < p.candidates.size(); ++i) {
@@ -265,7 +271,6 @@ TuneResult runStrategySearch(const KernelJob& job,
       }
     }
   }
-  flushLedger();
 
   result.best = best;
   result.bestCycles = bestCycles;
