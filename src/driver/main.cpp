@@ -22,7 +22,7 @@
 //   ifko tune <file.hil> [--arch=...] [--n=N] [--context=ooc|inl2]
 //             [--extensions] [--fast] [--jobs=N] [--cache=FILE] [--trace=FILE]
 //             [--wisdom=FILE]
-//             [--strategy=line|hillclimb|evolve|attribution|bandit]
+//             [--strategy=line|hillclimb|evolve|attribution]
 //             [--budget=N] [--budget-cycles=N] [--search-seed=S]
 //             [--eval-timeout-ms=N] [--quarantine=N] [--fault-plan=SPEC]
 //       The empirical search, with the per-dimension ledger.  --strategy
@@ -314,10 +314,16 @@ Options parseOptions(int argc, char** argv, int first) {
       o.exportPath = *v;
     } else if (auto v = value("--strategy=")) {
       auto kind = search::parseStrategyKind(*v);
-      if (*v == "random") {
-        std::fprintf(stderr,
-                     "strategy 'random' was removed; use evolve (its first "
-                     "generation is uniform random sampling)\n");
+      // A removed strategy names the one that replaced it.
+      const char* instead =
+          *v == "random"   ? "evolve (its first generation is uniform random "
+                             "sampling)"
+          : *v == "bandit" ? "attribution (at equal budgets it lands "
+                             "closest to each kernel's best)"
+                           : nullptr;
+      if (instead != nullptr) {
+        std::fprintf(stderr, "strategy '%s' was removed; use %s\n",
+                     v->c_str(), instead);
         o.ok = false;
       } else if (!kind.has_value()) {
         std::string want;

@@ -100,7 +100,6 @@ enum class StrategyKind : uint8_t {
   HillClimb,
   Evolve,
   Attribution,
-  Bandit,
 };
 
 /// One completed line-search dimension, for the Figure 7 ledger.

@@ -19,6 +19,5 @@ namespace ifko::search {
 /// strategy), unguided it is the plain hillclimb strategy.
 [[nodiscard]] std::unique_ptr<SearchStrategy> makeAttributionStrategy(
     uint64_t seed, bool guided);
-[[nodiscard]] std::unique_ptr<SearchStrategy> makeBanditStrategy(uint64_t seed);
 
 }  // namespace ifko::search

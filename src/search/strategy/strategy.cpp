@@ -14,7 +14,6 @@ std::string_view strategyName(StrategyKind kind) {
     case StrategyKind::HillClimb: return "hillclimb";
     case StrategyKind::Evolve: return "evolve";
     case StrategyKind::Attribution: return "attribution";
-    case StrategyKind::Bandit: return "bandit";
   }
   return "?";
 }
@@ -28,7 +27,7 @@ std::optional<StrategyKind> parseStrategyKind(std::string_view name) {
 const std::vector<StrategyKind>& allStrategies() {
   static const std::vector<StrategyKind> kAll = {
       StrategyKind::Line, StrategyKind::HillClimb, StrategyKind::Evolve,
-      StrategyKind::Attribution, StrategyKind::Bandit};
+      StrategyKind::Attribution};
   return kAll;
 }
 
@@ -41,7 +40,6 @@ std::unique_ptr<SearchStrategy> makeStrategy(StrategyKind kind,
     case StrategyKind::Evolve: return makeEvolutionaryStrategy(budget.seed);
     case StrategyKind::Attribution:
       return makeAttributionStrategy(budget.seed, /*guided=*/true);
-    case StrategyKind::Bandit: return makeBanditStrategy(budget.seed);
   }
   return makeLineSearchStrategy();
 }

@@ -1,10 +1,8 @@
 // Golden snapshot of the search drivers: every registry kernel through
 // tuneKernel and every kernels_hil kernel through tuneSource, on both
 // machines and in both timing contexts, with smoke grids at N=1024; plus
-// every other strategy (attribution, hillclimb, evolve, bandit) at budget
-// 16, the bandit again at budget 64 (where it switches arms; driver
-// "bandit@64"), and the line search with the extension transforms (P4E,
-// out-of-cache).
+// every other strategy (attribution, hillclimb, evolve) at budget 16, and
+// the line search with the extension transforms (P4E, out-of-cache).
 // Each record holds the winner, its cycles, the default cycles, the real
 // evaluation count and the per-dimension ledger, so any change to the
 // search loop, the evaluator or the tester that moves a winner fails here.
@@ -21,7 +19,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "arch/machine.h"
@@ -84,17 +81,12 @@ std::vector<std::string> snapshot() {
   }
   search::SearchConfig cfg = search::SearchConfig::smoke();
   cfg.n = kN;
-  const std::pair<search::StrategyKind, int> budgeted[] = {
-      {search::StrategyKind::Attribution, 16},
-      {search::StrategyKind::HillClimb, 16},
-      {search::StrategyKind::Evolve, 16},
-      {search::StrategyKind::Bandit, 16},
-      {search::StrategyKind::Bandit, 64}};
-  for (const auto& [kind, evaluations] : budgeted) {
+  for (search::StrategyKind kind :
+       {search::StrategyKind::Attribution, search::StrategyKind::HillClimb,
+        search::StrategyKind::Evolve}) {
     search::Budget budget;
-    budget.maxEvaluations = evaluations;
-    std::string driver(search::strategyName(kind));
-    if (evaluations != 16) driver += "@" + std::to_string(evaluations);
+    budget.maxEvaluations = 16;
+    const std::string driver(search::strategyName(kind));
     for (const auto& spec : kernels::allKernels())
       out.push_back(record(driver, spec.name(), arch::p4e().name,
                            sim::TimeContext::OutOfCache,
@@ -119,7 +111,7 @@ TEST(SearchGolden, MatchesCommittedSnapshot) {
 
   const std::vector<std::string> now = snapshot();
   const size_t registry = kernels::allKernels().size();
-  ASSERT_EQ(now.size(), 2 * 2 * (registry + 24) + 6 * registry);
+  ASSERT_EQ(now.size(), 2 * 2 * (registry + 24) + 4 * registry);
   ASSERT_EQ(now.size(), golden.size());
   int mismatches = 0;
   for (size_t i = 0; i < now.size(); ++i) {

@@ -2,27 +2,22 @@
 //
 //   strategy_compare [--arch=p4e|opteron] [--context=ooc|inl2] [--n=N]
 //                    [--fast] [--budget=N] [--search-seed=S]
-//                    [--kernel=NAME]... [--gate] [--gate-tol=PCT]
+//                    [--kernel=NAME]... [--gate]
 //
 // For each registry kernel (or the --kernel subset), the line search runs
 // first — unlimited unless --budget is given — and its proposal count
-// becomes the budget for every other strategy.  A batch that starts under
-// the budget completes, so a strategy may use up to one batch more.
+// becomes the budget for every other strategy.
 // The table reports best cycles (and proposals used) per kernel x strategy,
 // with the per-kernel winner marked '*'.
 //
 // --gate turns the comparison into a pass/fail search-quality check (the
-// CI step runs it at --fast --budget=32):
-//   1. attribution must match-or-beat hillclimb on every kernel — it
-//      searches a superset of the climber's neighborhood, so any loss
-//      means the guidance regressed — and strictly beat it somewhere,
-//      so the attribution signal is demonstrably pulling its weight;
-//   2. bandit must land within --gate-tol percent (default 5) of the
-//      best constituent arm on every kernel — the exploration tax is
-//      bounded.
+// CI step runs it at --fast --budget=32): attribution must match-or-beat
+// hillclimb on every kernel — it searches a superset of the climber's
+// neighborhood, so any loss means the guidance regressed — and strictly
+// beat it somewhere, so the attribution signal is demonstrably pulling
+// its weight.
 // The simulator and every strategy are deterministic at a fixed seed, so
 // the gate is exactly reproducible locally.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,15 +75,12 @@ int main(int argc, char** argv) {
   int64_t budget = 0;
   uint64_t seed = 1;
   bool gate = false;
-  int64_t gateTol = 5;
   std::vector<std::string> only;
 
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--fast") fast = true;
     else if (a == "--gate") gate = true;
-    else if (startsWith(a, "--gate-tol="))
-      gateTol = numFlag("--gate-tol", a.c_str() + 11);
     else if (startsWith(a, "--arch=")) machine = archFlag(a.c_str() + 7);
     else if (startsWith(a, "--context="))
       context = contextFlag(a.c_str() + 10);
@@ -120,11 +112,10 @@ int main(int argc, char** argv) {
 
   int kernelsRun = 0;
   std::vector<int> wins(strategies.size(), 0);
-  size_t iHill = 0, iAttr = 0, iBandit = 0;
+  size_t iHill = 0, iAttr = 0;
   for (size_t s = 0; s < strategies.size(); ++s) {
     if (strategies[s] == search::StrategyKind::HillClimb) iHill = s;
     if (strategies[s] == search::StrategyKind::Attribution) iAttr = s;
-    if (strategies[s] == search::StrategyKind::Bandit) iBandit = s;
   }
   bool attrStrictWin = false;
   std::vector<std::string> gateFailures;
@@ -177,7 +168,6 @@ int main(int argc, char** argv) {
     if (gate) {
       const search::TuneResult& attr = results[iAttr];
       const search::TuneResult& hill = results[iHill];
-      const search::TuneResult& bandit = results[iBandit];
       if (attr.ok && hill.ok) {
         if (attr.bestCycles > hill.bestCycles)
           gateFailures.push_back(
@@ -186,19 +176,6 @@ int main(int argc, char** argv) {
               std::to_string(hill.bestCycles));
         else if (attr.bestCycles < hill.bestCycles)
           attrStrictWin = true;
-      }
-      uint64_t constituent = UINT64_MAX;
-      for (size_t s = 0; s < strategies.size(); ++s)
-        if (s != iBandit && results[s].ok)
-          constituent = std::min(constituent, results[s].bestCycles);
-      if (bandit.ok && constituent != UINT64_MAX) {
-        const uint64_t ceiling =
-            constituent + constituent * static_cast<uint64_t>(gateTol) / 100;
-        if (bandit.bestCycles > ceiling)
-          gateFailures.push_back(
-              spec.name() + ": bandit " + std::to_string(bandit.bestCycles) +
-              " beyond " + std::to_string(gateTol) +
-              "% of best constituent " + std::to_string(constituent));
       }
     }
   }
@@ -221,8 +198,7 @@ int main(int argc, char** argv) {
       gateFailures.push_back(
           "attribution never strictly beat hillclimb on any kernel");
     if (gateFailures.empty()) {
-      std::printf("gate: PASS (%d kernels, bandit tolerance %lld%%)\n",
-                  kernelsRun, static_cast<long long>(gateTol));
+      std::printf("gate: PASS (%d kernels)\n", kernelsRun);
     } else {
       std::printf("gate: FAIL\n");
       for (const auto& f : gateFailures)
