@@ -1,120 +1,9 @@
-// The ifko command-line driver.
-//
-// Every verb lives in the kVerbs table below — the usage text and the
-// dispatch in main() are both generated from it, so a new verb cannot be
-// runnable but undocumented (or documented but unrunnable).
-//
-//   ifko analyze <file.hil> [--arch=p4e|opteron]
-//       What FKO's analysis reports to the search: vectorizability, arrays,
-//       accumulator candidates, machine cache facts.
-//
-//   ifko compile <file.hil> [--arch=...] [--sv=0|1] [--ur=N] [--ae=N]
-//                [--wnt] [--lc=0|1] [--pf=ARRAY:KIND:DIST]... [--bf]
-//                [--cisc] [--params=SPEC] [--dump-ir]
-//       One FKO compile with explicit transform parameters; verifies the
-//       result differentially against the unoptimized lowering.  All the
-//       per-flag spellings are sugar over the TuningSpec grammar
-//       (docs/TUNING.md): --ur=4 is exactly --params=ur=4.
-//
-//   ifko run <file.hil> [--arch=...] [--n=N] [--context=ooc|inl2] (+compile flags)
-//       Compile, check, and time on the simulated machine.
-//
-//   ifko tune <file.hil> [--arch=...] [--n=N] [--context=ooc|inl2]
-//             [--extensions] [--fast] [--jobs=N] [--cache=FILE] [--trace=FILE]
-//             [--wisdom=FILE]
-//             [--strategy=line|hillclimb|evolve|attribution]
-//             [--budget=N] [--budget-cycles=N] [--search-seed=S]
-//             [--eval-timeout-ms=N] [--quarantine=N] [--fault-plan=SPEC]
-//       The empirical search, with the per-dimension ledger.  --strategy
-//       picks the search policy (default: the paper's line search);
-//       --budget caps observed candidates, --budget-cycles caps simulated
-//       cycles spent, and --search-seed seeds the stochastic strategies
-//       (same seed + budget => same proposals at any --jobs).  A stochastic
-//       strategy with no budget gets a default of 128 evaluations.
-//       --wisdom warm-starts the search from the store's best known config
-//       for this (kernel, arch, context, N-class) and writes the winner
-//       back keep-best (docs/SERVING.md).
-//       Fault isolation: --eval-timeout-ms deadlines each candidate in
-//       deterministic simulated work (0 = off), --quarantine abandons a
-//       kernel after N hard failures (default 3, 0 = never), and
-//       --fault-plan injects deterministic faults for testing (grammar in
-//       docs/TUNING.md).  Each candidate is evaluated once: the simulator
-//       is deterministic, so a timeout or crash would only recur.
-//
-//   ifko tune-all <dir> [--arch=...] [--n=N] [--context=ooc|inl2] [--fast]
-//                 [--extensions] [--jobs=N] [--cache=FILE] [--trace=FILE]
-//                 [--wisdom=FILE] [--strategy=...] [--budget=N]
-//                 [--budget-cycles=N] [--search-seed=S] [--eval-timeout-ms=N]
-//                 [--quarantine=N] [--fault-plan=SPEC]
-//                 [--cache-dir=DIR] [--shard=NAME]
-//                 [--workers=N --worker-id=K]
-//       Batch-tunes every *.hil kernel in <dir> through the orchestrator and
-//       prints a Table-3-style summary with turnaround and cache statistics.
-//       --wisdom warm-starts every kernel and writes each winner back as it
-//       lands (atomic per-kernel saves, so a crash loses at most the
-//       in-flight kernel).
-//       Fleet mode (docs/DISTRIBUTED.md): --cache-dir gives every process
-//       its own append-only cache.<shard>.jsonl (all shards are loaded, only
-//       our own is written; --shard defaults to the pid); --workers=N
-//       --worker-id=K keeps the jobs at sorted indices i with i % N == K,
-//       so N uncoordinated workers cover the directory exactly once.
-//       Results never depend on the cache, so after a kill the same
-//       command on the same --cache is the resume: finished candidates
-//       replay as hits and the output is byte-identical to an
-//       uninterrupted run's.
-//
-//   ifko explain <file.hil> (same options as tune)
-//       Tunes the kernel (cheap when a --cache is warm), then diffs the
-//       winner against the FKO defaults: a per-cause cycle-attribution
-//       table (why the winner is faster, not just that it is), the memory
-//       system's per-level counters, and the compile pipeline's per-pass
-//       deltas for the winning parameters.
-//
-//   ifko sim <file.ir> [--arch=...] [--n=N] [--context=ooc|inl2]
-//       Parse a textual IR dump (the --dump-ir format) and time it on the
-//       simulated machine — the path for hand-edited or hand-written code.
-//
-//   ifko serve --socket=PATH | --port=N [--wisdom=FILE] [--kernels=DIR]
-//              [--recv-timeout-ms=N] (+ tune options for the tune-on-miss path)
-//       Tuning-as-a-service (docs/SERVING.md): a long-lived daemon that
-//       answers QUERY/TUNE/EXPLAIN/EXPORT/IMPORT/STATS/SHUTDOWN over a Unix
-//       or loopback TCP socket.  --recv-timeout-ms bounds how long a
-//       stalled connection may hold the serial accept loop (default 30000,
-//       0 = no deadline).  Already-tuned queries are served from the
-//       wisdom store with zero candidate evaluations; misses tune through
-//       the fault-isolated orchestrator and write back.  --port=0 picks an
-//       ephemeral port (printed as "PORT <n>" on stdout).
-//
-//   ifko query [<kernel>] --socket=PATH | --port=N [--arch=...]
-//              [--context=...] [--n=N] [--tune] [--explain-verb]
-//              [--stats] [--export[=PATH]] [--shutdown]
-//       Client for a running serve daemon: sends one request, prints the
-//       JSON response line, exits 0 iff the daemon answered ok.  With a
-//       kernel name it sends QUERY (or TUNE with --tune, EXPLAIN with
-//       --explain-verb); --stats/--export/--shutdown need no kernel.
-//
-//   ifko cache-merge <out.jsonl> --from=FILE_OR_DIR [--from=...]
-//       Offline set union of eval-cache shards (a directory --from expands
-//       to its cache.*.jsonl files).  Identical keys dedup to one record;
-//       the output is sorted, so it is byte-identical regardless of input
-//       order (docs/DISTRIBUTED.md).
-//
-//   ifko wisdom-merge <out.jsonl> --from=FILE [--from=...]
-//       Keep-best merge of wisdom files: merging the per-worker stores of a
-//       partitioned tune-all reproduces the single-process wisdom file byte
-//       for byte.
-//
-//   ifko federate <peer> --socket=PATH | --port=N
-//       Two-way keep-best wisdom exchange between the local daemon
-//       (--socket/--port) and a peer daemon (<peer> = a port number or a
-//       Unix socket path), via EXPORT/IMPORT temp files.
-#include <unistd.h>
-
-#include <climits>
+// The ifko command-line driver: one function per verb, dispatched from the
+// verb table in driver/options.cpp, which also holds every flag, the verbs'
+// flag sets and the usage text (`ifko` with no arguments prints it).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -123,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/options.h"
 #include "fko/compiler.h"
 #include "fko/harness.h"
 #include "ir/parser.h"
@@ -141,6 +31,7 @@
 namespace {
 
 using namespace ifko;
+using driver::Options;
 
 std::optional<std::string> readFile(const std::string& path) {
   std::ifstream in(path);
@@ -150,241 +41,12 @@ std::optional<std::string> readFile(const std::string& path) {
   return ss.str();
 }
 
-struct Options {
-  arch::MachineConfig machine = arch::p4e();
-  fko::CompileOptions compile;
-  int64_t n = 80000;
-  sim::TimeContext context = sim::TimeContext::OutOfCache;
-  bool dumpIr = false;
-  bool extensions = false;
-  bool fast = false;
-  int jobs = 1;
-  std::string cachePath;
-  std::string cacheDirPath;  ///< --cache-dir: sharded eval-cache directory
-  std::string cacheShard;    ///< --shard: shard name inside --cache-dir
-  std::string tracePath;
-  int64_t workers = 0;   ///< tune-all --workers: fleet width; 0 = single
-  int64_t workerId = 0;  ///< tune-all --worker-id: this worker's slot
-  bool workerIdSet = false;
-  int64_t recvTimeoutMs = 30000;  ///< serve --recv-timeout-ms (0 = off)
-  std::vector<std::string> fromPaths;  ///< --from= inputs (repeatable)
-  search::StrategyKind strategy = search::StrategyKind::Line;
-  int64_t budget = 0;        ///< max observed candidates; 0 = unlimited
-  int64_t budgetCycles = 0;  ///< max simulated cycles spent; 0 = unlimited
-  int64_t searchSeed = 1;
-  int64_t evalTimeoutMs = 0;  ///< per-candidate deadline; 0 = off
-  int64_t quarantine = 3;     ///< hard failures before abandoning; 0 = never
-  search::FaultPlan faultPlan;
-  std::string wisdomPath;  ///< --wisdom: warm-start + write-back store
-  // serve/query plumbing
-  std::string socketPath;  ///< --socket: Unix-domain endpoint
-  int64_t tcpPort = -1;    ///< --port: loopback TCP; -1 unset, 0 ephemeral
-  std::string kernelsDir;  ///< serve --kernels: extra *.hil kernels
-  serve::Request::Verb queryVerb = serve::Request::Verb::Query;
-  std::string exportPath;  ///< query --export=PATH ("" = daemon default)
-  // Raw flag spellings, so `query` forwards only what the user actually
-  // said and the daemon's own defaults cover the rest.
-  std::string archFlag;     ///< "" unless --arch was given
-  std::string contextFlag;  ///< "" unless --context was given
-  bool nSet = false;        ///< --n was given
-  bool ok = true;
-};
-
-Options parseOptions(int argc, char** argv, int first) {
-  Options o;
-  // Every tuning-parameter flag funnels through the TuningSpec parser, so
-  // validation and serialization live in exactly one place (opt/params.cpp).
-  auto applySpec = [&](const std::string& fragment) {
-    auto spec = opt::parseTuningSpec(fragment, o.compile.tuning);
-    if (!spec.ok) {
-      std::fprintf(stderr, "bad tuning spec '%s': %s\n", fragment.c_str(),
-                   spec.error.c_str());
-      o.ok = false;
-      return;
-    }
-    o.compile.tuning = spec.params;
-  };
-  // Values that end up in an int take maxValue = INT_MAX, so an
-  // out-of-range flag is an error instead of a silently narrowed number.
-  auto intFlag = [&](const std::string& v, const char* name, int64_t minValue,
-                     int64_t* out, int64_t maxValue = INT64_MAX) {
-    int64_t parsed = 0;
-    if (!parseInt64(v, &parsed) || parsed < minValue || parsed > maxValue) {
-      const std::string want =
-          maxValue == INT64_MAX
-              ? ">= " + std::to_string(minValue)
-              : "in " + std::to_string(minValue) + ".." +
-                    std::to_string(maxValue);
-      std::fprintf(stderr, "bad %s (want integer %s): '%s'\n", name,
-                   want.c_str(), v.c_str());
-      o.ok = false;
-      return;
-    }
-    *out = parsed;
-  };
-
-  for (int i = first; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value = [&](const char* prefix) -> std::optional<std::string> {
-      if (!startsWith(a, prefix)) return std::nullopt;
-      return a.substr(std::strlen(prefix));
-    };
-    if (auto v = value("--arch=")) {
-      auto machine = arch::parseArchFlag(*v);
-      if (!machine.has_value()) {
-        std::fprintf(stderr, "unknown arch '%s' (want p4e|opteron)\n",
-                     v->c_str());
-        o.ok = false;
-        continue;
-      }
-      o.machine = *machine;
-      o.archFlag = *v;
-    } else if (auto v = value("--sv=")) {
-      applySpec("sv=" + *v);
-    } else if (auto v = value("--ur=")) {
-      applySpec("ur=" + *v);
-    } else if (auto v = value("--ae=")) {
-      applySpec("ae=" + *v);
-    } else if (a == "--wnt") {
-      applySpec("wnt=Y");
-    } else if (auto v = value("--lc=")) {
-      applySpec("lc=" + *v);
-    } else if (a == "--bf") {
-      applySpec("bf=Y");
-    } else if (a == "--cisc") {
-      applySpec("cisc=Y");
-    } else if (auto v = value("--pf=")) {
-      // ARRAY:KIND:DIST (e.g. --pf=X:nta:1024) -> pf(ARRAY)=KIND:DIST
-      size_t colon = v->find(':');
-      if (colon == std::string::npos || colon == 0) {
-        std::fprintf(stderr, "bad --pf (want ARRAY:KIND:DIST): %s\n",
-                     v->c_str());
-        o.ok = false;
-        continue;
-      }
-      std::string rest = v->substr(colon + 1);
-      if (rest == "none:0" || rest == "none") rest = "none";
-      applySpec("pf(" + v->substr(0, colon) + ")=" + rest);
-    } else if (auto v = value("--params=")) {
-      applySpec(*v);
-    } else if (auto v = value("--n=")) {
-      intFlag(*v, "--n", 1, &o.n);
-      o.nSet = true;
-    } else if (auto v = value("--jobs=")) {
-      int64_t jobs = 1;
-      intFlag(*v, "--jobs", 1, &jobs, INT_MAX);
-      o.jobs = static_cast<int>(jobs);
-    } else if (auto v = value("--cache=")) {
-      o.cachePath = *v;
-    } else if (auto v = value("--cache-dir=")) {
-      o.cacheDirPath = *v;
-    } else if (auto v = value("--shard=")) {
-      o.cacheShard = *v;
-    } else if (auto v = value("--workers=")) {
-      intFlag(*v, "--workers", 1, &o.workers, INT_MAX);
-    } else if (auto v = value("--worker-id=")) {
-      intFlag(*v, "--worker-id", 0, &o.workerId, INT_MAX);
-      o.workerIdSet = true;
-    } else if (auto v = value("--recv-timeout-ms=")) {
-      intFlag(*v, "--recv-timeout-ms", 0, &o.recvTimeoutMs, INT_MAX);
-    } else if (auto v = value("--from=")) {
-      o.fromPaths.push_back(*v);
-    } else if (auto v = value("--trace=")) {
-      o.tracePath = *v;
-    } else if (auto v = value("--wisdom=")) {
-      o.wisdomPath = *v;
-    } else if (auto v = value("--socket=")) {
-      o.socketPath = *v;
-    } else if (auto v = value("--port=")) {
-      intFlag(*v, "--port", 0, &o.tcpPort, 65535);
-    } else if (auto v = value("--kernels=")) {
-      o.kernelsDir = *v;
-    } else if (a == "--tune") {
-      o.queryVerb = serve::Request::Verb::Tune;
-    } else if (a == "--explain-verb") {
-      o.queryVerb = serve::Request::Verb::Explain;
-    } else if (a == "--stats") {
-      o.queryVerb = serve::Request::Verb::Stats;
-    } else if (a == "--shutdown") {
-      o.queryVerb = serve::Request::Verb::Shutdown;
-    } else if (a == "--export") {
-      o.queryVerb = serve::Request::Verb::Export;
-    } else if (auto v = value("--export=")) {
-      o.queryVerb = serve::Request::Verb::Export;
-      o.exportPath = *v;
-    } else if (auto v = value("--strategy=")) {
-      auto kind = search::parseStrategyKind(*v);
-      // A removed strategy names the one that replaced it.
-      const char* instead =
-          *v == "random"   ? "evolve (its first generation is uniform random "
-                             "sampling)"
-          : *v == "bandit" ? "attribution (at equal budgets it lands "
-                             "closest to each kernel's best)"
-                           : nullptr;
-      if (instead != nullptr) {
-        std::fprintf(stderr, "strategy '%s' was removed; use %s\n",
-                     v->c_str(), instead);
-        o.ok = false;
-      } else if (!kind.has_value()) {
-        std::string want;
-        for (search::StrategyKind k : search::allStrategies())
-          want += (want.empty() ? "" : "|") +
-                  std::string(search::strategyName(k));
-        std::fprintf(stderr, "unknown strategy '%s' (want %s)\n", v->c_str(),
-                     want.c_str());
-        o.ok = false;
-      } else {
-        o.strategy = *kind;
-      }
-    } else if (auto v = value("--budget=")) {
-      intFlag(*v, "--budget", 1, &o.budget, INT_MAX);
-    } else if (auto v = value("--budget-cycles=")) {
-      intFlag(*v, "--budget-cycles", 1, &o.budgetCycles);
-    } else if (auto v = value("--search-seed=")) {
-      intFlag(*v, "--search-seed", 0, &o.searchSeed);
-    } else if (auto v = value("--eval-timeout-ms=")) {
-      intFlag(*v, "--eval-timeout-ms", 0, &o.evalTimeoutMs);
-    } else if (auto v = value("--quarantine=")) {
-      intFlag(*v, "--quarantine", 0, &o.quarantine, INT_MAX);
-    } else if (auto v = value("--fault-plan=")) {
-      std::string perr;
-      auto plan = search::FaultPlan::parse(*v, &perr);
-      if (!plan.has_value()) {
-        std::fprintf(stderr, "bad --fault-plan: %s\n", perr.c_str());
-        o.ok = false;
-      } else {
-        o.faultPlan = *plan;
-      }
-    } else if (auto v = value("--context=")) {
-      auto ctx = sim::parseContextFlag(*v);
-      if (!ctx.has_value()) {
-        std::fprintf(stderr, "unknown context '%s' (want ooc|inl2)\n",
-                     v->c_str());
-        o.ok = false;
-      } else {
-        o.context = *ctx;
-        o.contextFlag = *v;
-      }
-    } else if (a == "--dump-ir") {
-      o.dumpIr = true;
-    } else if (a == "--extensions") {
-      o.extensions = true;
-    } else if (a == "--fast") {
-      o.fast = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-      o.ok = false;
-    }
-  }
-  return o;
-}
-
 search::SearchConfig searchConfig(const Options& o) {
   search::SearchConfig cfg = o.fast ? search::SearchConfig::smoke()
                                     : search::SearchConfig{};
   cfg.n = o.n;
   cfg.context = o.context;
-  cfg.jobs = o.jobs;
+  cfg.jobs = static_cast<int>(o.jobs);
   cfg.searchExtensions = o.extensions;
   cfg.evalTimeoutMs = o.evalTimeoutMs;
   return cfg;
@@ -633,8 +295,8 @@ int cmdExplain(const std::string& path, const std::string& src,
     return 1;
   }
 
-  // Re-evaluate the two endpoints directly: a pre-v3 cache has no counters
-  // to replay, and two evaluations are cheap next to the search itself.
+  // Re-evaluate the two endpoints directly: TuneResult keeps cycles, not
+  // counters, and two evaluations are cheap next to the search itself.
   // One pipeline lowers the source once and keeps the winner's compiled
   // artifact for the pass-delta display below — no re-lowering, no second
   // compile of the same candidate.
@@ -825,8 +487,9 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
       std::fprintf(stderr, "tune-all: wisdom save failed: %s\n", werr.c_str());
   };
 
-  std::fprintf(stderr, "tuning %zu kernels on %s (jobs=%d)...\n", jobs.size(),
-               o.machine.name.c_str(), std::max(1, o.jobs));
+  std::fprintf(stderr, "tuning %zu kernels on %s (jobs=%lld)...\n",
+               jobs.size(), o.machine.name.c_str(),
+               static_cast<long long>(o.jobs));
   auto batch = orch.tuneAll(jobs, recordWisdom);
 
   // Compact per-kernel fault cell: "2t 1c" = 2 timeouts, 1 crash; "-" = clean.
@@ -1031,7 +694,7 @@ int cmdQuery(const std::string& kernel, const Options& o) {
              : 1;
 }
 
-// --- fleet verbs: cache-merge, wisdom-merge, federate -----------------------
+// --- fleet verbs: cache-merge, wisdom-merge ---------------------------------
 
 /// `ifko cache-merge <out> --from=FILE_OR_DIR...`: offline set union of
 /// eval-cache shards.  A --from naming a directory expands to every
@@ -1100,203 +763,27 @@ int cmdWisdomMerge(const std::string& out, const Options& o) {
   return 0;
 }
 
-/// `ifko federate <peer>`: two-way keep-best wisdom exchange between a
-/// local daemon (--socket/--port) and a peer daemon (<peer> = a port
-/// number or a Unix socket path).  Each side EXPORTs to a temp file the
-/// other side IMPORTs — both daemons are loopback-only by design, so
-/// federation assumes a shared filesystem.
-int cmdFederate(const std::string& peer, const Options& o) {
-  if (o.socketPath.empty() && o.tcpPort < 0) {
-    std::fprintf(stderr,
-                 "federate: need --socket=PATH or --port=N for the local "
-                 "daemon\n");
-    return 2;
+int dispatch(const driver::VerbSpec& verb, const std::string& arg,
+             const std::string& src, const Options& o) {
+  using driver::Command;
+  switch (verb.command) {
+    case Command::Analyze: return cmdAnalyze(src, o);
+    case Command::Compile: return cmdCompile(src, o, /*alsoRun=*/false);
+    case Command::Run: return cmdCompile(src, o, /*alsoRun=*/true);
+    case Command::Tune: return cmdTune(arg, src, o);
+    case Command::TuneAll: return cmdTuneAll(arg, o);
+    case Command::Explain: return cmdExplain(arg, src, o);
+    case Command::Sim: return cmdSim(src, o);
+    case Command::Serve: return cmdServe(o);
+    case Command::Query: return cmdQuery(arg, o);
+    case Command::CacheMerge: return cmdCacheMerge(arg, o);
+    case Command::WisdomMerge: return cmdWisdomMerge(arg, o);
   }
-  if (peer.empty()) {
-    std::fprintf(stderr,
-                 "federate: need a peer (a port number or a socket path)\n");
-    return 2;
-  }
-  serve::Endpoint local;
-  local.unixPath = o.socketPath;
-  local.tcpPort = static_cast<int>(std::max<int64_t>(o.tcpPort, 0));
-  serve::Endpoint remote;
-  bool peerIsPort = true;
-  for (char c : peer) peerIsPort = peerIsPort && c >= '0' && c <= '9';
-  if (peerIsPort) {
-    // Strict parse with a TCP range check: "99999999" must be an error,
-    // never a silently truncated (or zero) port.
-    int64_t port = 0;
-    if (!parseInt64(peer, &port) || port < 1 || port > 65535) {
-      std::fprintf(stderr,
-                   "federate: bad peer port '%s' (want an integer in "
-                   "1..65535, or a socket path)\n",
-                   peer.c_str());
-      return 2;
-    }
-    remote.tcpPort = static_cast<int>(port);
-  } else {
-    remote.unixPath = peer;
-  }
-
-  auto call = [&](const serve::Endpoint& ep, serve::Request req,
-                  const char* what)
-      -> std::optional<std::map<std::string, JsonValue>> {
-    std::string err;
-    const std::optional<std::string> resp = serve::requestOnce(ep, req, &err);
-    if (!resp.has_value()) {
-      std::fprintf(stderr, "federate: %s: %s\n", what, err.c_str());
-      return std::nullopt;
-    }
-    std::map<std::string, JsonValue> obj;
-    if (!parseJsonObject(*resp, &obj)) {
-      std::fprintf(stderr, "federate: %s: malformed response: %s\n", what,
-                   resp->c_str());
-      return std::nullopt;
-    }
-    const auto ok = obj.find("ok");
-    if (ok == obj.end() || ok->second.kind != JsonValue::Kind::Bool ||
-        !ok->second.boolean) {
-      const auto msg = obj.find("error");
-      std::fprintf(stderr, "federate: %s: %s\n", what,
-                   msg != obj.end() ? msg->second.string.c_str()
-                                    : resp->c_str());
-      return std::nullopt;
-    }
-    return obj;
-  };
-  auto adoptedOf = [](const std::map<std::string, JsonValue>& obj) {
-    const auto it = obj.find("adopted");
-    return it != obj.end() ? it->second.asUint() : 0;
-  };
-
-  const std::string base =
-      "/tmp/ifko.federate." + std::to_string(static_cast<long>(::getpid()));
-  const std::string peerFile = base + ".peer.jsonl";
-  const std::string localFile = base + ".local.jsonl";
-  auto cleanup = [&] {
-    std::remove(peerFile.c_str());
-    std::remove(localFile.c_str());
-  };
-
-  serve::Request exp;
-  exp.verb = serve::Request::Verb::Export;
-  serve::Request imp;
-  imp.verb = serve::Request::Verb::Import;
-
-  exp.target = peerFile;
-  if (!call(remote, exp, "peer EXPORT")) return 1;
-  imp.target = peerFile;
-  const auto localImport = call(local, imp, "local IMPORT");
-  if (!localImport) {
-    cleanup();
-    return 1;
-  }
-  exp.target = localFile;
-  if (!call(local, exp, "local EXPORT")) {
-    cleanup();
-    return 1;
-  }
-  imp.target = localFile;
-  const auto peerImport = call(remote, imp, "peer IMPORT");
-  cleanup();
-  if (!peerImport) return 1;
-
-  std::printf("federated with %s: adopted %llu record(s) from the peer, "
-              "peer adopted %llu of ours\n",
-              peer.c_str(),
-              static_cast<unsigned long long>(adoptedOf(*localImport)),
-              static_cast<unsigned long long>(adoptedOf(*peerImport)));
-  return 0;
+  return 2;
 }
 
-// --- the verb table ---------------------------------------------------------
-
-/// One driver verb.  The usage text and main()'s dispatch are both generated
-/// from kVerbs, so the two can never drift apart.
-struct VerbSpec {
-  const char* name;
-  const char* argHelp;  ///< "" = no positional argument
-  const char* summary;  ///< one usage line
-  bool needsArg;        ///< the positional argument is required
-  bool readsFile;       ///< the argument is a file whose contents `run` gets
-  int (*run)(const std::string& arg, const std::string& src, const Options& o);
-};
-
-const VerbSpec kVerbs[] = {
-    {"analyze", "<file.hil>", "what FKO's analysis reports to the search",
-     true, true,
-     [](const std::string&, const std::string& src, const Options& o) {
-       return cmdAnalyze(src, o);
-     }},
-    {"compile", "<file.hil>", "one FKO compile with explicit parameters",
-     true, true,
-     [](const std::string&, const std::string& src, const Options& o) {
-       return cmdCompile(src, o, /*alsoRun=*/false);
-     }},
-    {"run", "<file.hil>", "compile, check, and time on the simulated machine",
-     true, true,
-     [](const std::string&, const std::string& src, const Options& o) {
-       return cmdCompile(src, o, /*alsoRun=*/true);
-     }},
-    {"tune", "<file.hil>",
-     "the empirical search (--wisdom warm-starts and records it)", true, true,
-     [](const std::string& arg, const std::string& src, const Options& o) {
-       return cmdTune(arg, src, o);
-     }},
-    {"tune-all", "<dir>", "batch-tune every *.hil kernel in <dir>", true,
-     false,
-     [](const std::string& arg, const std::string&, const Options& o) {
-       return cmdTuneAll(arg, o);
-     }},
-    {"explain", "<file.hil>", "attribute the winner's cycles cause by cause",
-     true, true,
-     [](const std::string& arg, const std::string& src, const Options& o) {
-       return cmdExplain(arg, src, o);
-     }},
-    {"sim", "<file.ir>", "time a textual IR dump on the simulated machine",
-     true, true,
-     [](const std::string&, const std::string& src, const Options& o) {
-       return cmdSim(src, o);
-     }},
-    {"serve", "",
-     "tuning daemon over --socket/--port (docs/SERVING.md)", false, false,
-     [](const std::string&, const std::string&, const Options& o) {
-       return cmdServe(o);
-     }},
-    {"query", "[<kernel>]", "client for a running serve daemon", false, false,
-     [](const std::string& arg, const std::string&, const Options& o) {
-       return cmdQuery(arg, o);
-     }},
-    {"cache-merge", "<out>",
-     "set-union eval-cache shards (--from=FILE_OR_DIR...)", true, false,
-     [](const std::string& arg, const std::string&, const Options& o) {
-       return cmdCacheMerge(arg, o);
-     }},
-    {"wisdom-merge", "<out>", "keep-best merge wisdom files (--from=FILE...)",
-     true, false,
-     [](const std::string& arg, const std::string&, const Options& o) {
-       return cmdWisdomMerge(arg, o);
-     }},
-    {"federate", "<peer>",
-     "two-way wisdom exchange between serve daemons", true, false,
-     [](const std::string& arg, const std::string&, const Options& o) {
-       return cmdFederate(arg, o);
-     }},
-};
-
 int usage() {
-  std::string verbs;
-  for (const VerbSpec& v : kVerbs) {
-    if (!verbs.empty()) verbs += "|";
-    verbs += v.name;
-  }
-  std::fprintf(stderr, "usage: ifko <%s> [<arg>] [options]\n", verbs.c_str());
-  for (const VerbSpec& v : kVerbs)
-    std::fprintf(stderr, "  %-8s %-11s %s\n", v.name, v.argHelp, v.summary);
-  std::fprintf(stderr,
-               "see the header of src/driver/main.cpp, docs/TUNING.md, "
-               "docs/SERVING.md\n");
+  std::fputs(driver::usageText().c_str(), stderr);
   return 2;
 }
 
@@ -1304,15 +791,18 @@ int usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const VerbSpec* verb = nullptr;
-  for (const VerbSpec& v : kVerbs)
-    if (std::strcmp(argv[1], v.name) == 0) verb = &v;
+  const driver::VerbSpec* verb = driver::findVerb(argv[1]);
   if (verb == nullptr) return usage();
 
   const bool hasArg = argc > 2 && argv[2][0] != '-';
   if (verb->needsArg && !hasArg) return usage();
-  Options o = parseOptions(argc, argv, hasArg ? 3 : 2);
-  if (!o.ok) return 2;
+  Options o;
+  std::string err;
+  if (!driver::parseOptions(*verb, {argv + (hasArg ? 3 : 2), argv + argc}, &o,
+                            &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return 2;
+  }
 
   const std::string arg = hasArg ? argv[2] : "";
   std::string src;
@@ -1324,5 +814,5 @@ int main(int argc, char** argv) {
     }
     src = std::move(*contents);
   }
-  return verb->run(arg, src, o);
+  return dispatch(*verb, arg, src, o);
 }

@@ -66,21 +66,20 @@ bool EvalCache::parseLine(const std::string& line, EvalKey* key,
       params == nullptr || !num("n", &n) || !num("seed", &seed) ||
       !num("tester_n", &testerN) || !num("cycles", &cycles))
     return false;
-  // v2 lines carry the failure status; a v1 line's cycles==0 is some
-  // failure whose flavour was never recorded.
-  *rec = EvalRecord{static_cast<uint64_t>(cycles),
-                    cycles != 0 ? EvalOutcome::Status::Timed
-                                : EvalOutcome::Status::FailUnknown};
-  if (const std::string* status = str("status")) {
-    auto parsed = parseEvalStatus(*status);
-    if (!parsed.has_value()) return false;
-    rec->status = *parsed;
-  }
-  // v3 lines nest the observability counters; v2/v1 replay without.
+  // Both fields are required: a line without `status` (schema v1), or a
+  // timed line without `counters` (v2), would replay differently from a
+  // fresh evaluation, so it is damage and the candidate is evaluated again.
+  const std::string* status = str("status");
+  if (status == nullptr) return false;
+  auto parsed = parseEvalStatus(*status);
+  if (!parsed.has_value()) return false;
+  *rec = EvalRecord{static_cast<uint64_t>(cycles), *parsed};
   if (auto it = obj.find("counters");
       it != obj.end() && it->second.kind == JsonValue::Kind::Object &&
       it->second.object != nullptr)
     rec->counters = parseCounters(*it->second.object);
+  if (rec->status == EvalOutcome::Status::Timed && !rec->counters.has_value())
+    return false;
   *key = EvalKey{*source,
                  *machine,
                  *context,

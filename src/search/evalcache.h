@@ -24,18 +24,16 @@
 // of cache files into one deduplicated, key-sorted file; because records
 // are pure functions of their keys, "merge" is just set union.
 //
-// Schema v2: each line also records the evaluation's `status`
+// Schema v3: each line records the evaluation's `status`
 // (timed|compile_fail|tester_fail|timeout|crash), so warm runs replay
-// failures faithfully instead of guessing what a cycles==0 entry meant.
-// v1 lines (no status field) still load: cycles > 0 reads as Timed,
-// cycles == 0 as FailUnknown — "some failure whose flavour the cache did
-// not record".
-//
-// Schema v3: timed lines additionally carry a nested `counters` object
+// failures faithfully, and a timed line nests a `counters` object
 // (search/counters.h) — the per-cause cycle attribution, memory-system
 // counters, and compile observability of the evaluation — so warm replays
-// surface the same `ifko explain` attribution without re-simulating.
-// v2/v1 lines still load; they simply replay without counters.
+// steer the attribution strategy and surface the same `ifko explain`
+// attribution as a cold run.  Lines of earlier schemas (no `status`, or a
+// timed line without `counters`) load as damage: their candidates are
+// evaluated again and appended as v3 lines.  `ifko cache-merge` rewrites
+// an old file without them.
 #pragma once
 
 #include <cstdint>

@@ -14,15 +14,13 @@ std::string_view evalStatusName(EvalOutcome::Status s) {
     case EvalOutcome::Status::TesterFail: return "tester_fail";
     case EvalOutcome::Status::Timeout: return "timeout";
     case EvalOutcome::Status::Crash: return "crash";
-    case EvalOutcome::Status::FailUnknown: return "fail";
   }
   return "?";
 }
 
 std::optional<EvalOutcome::Status> parseEvalStatus(std::string_view name) {
   using S = EvalOutcome::Status;
-  for (S s : {S::Timed, S::CompileFail, S::TesterFail, S::Timeout, S::Crash,
-              S::FailUnknown})
+  for (S s : {S::Timed, S::CompileFail, S::TesterFail, S::Timeout, S::Crash})
     if (evalStatusName(s) == name) return s;
   return std::nullopt;
 }

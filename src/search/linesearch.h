@@ -156,21 +156,19 @@ struct TuneResult {
 ///   Timeout      exceeded its cooperative step/cycle deadline (sim/budget.h)
 ///   Crash        the evaluation threw — a simulator machine fault or an
 ///                injected fault, contained by search/faultguard.h
-///   FailUnknown  a pre-status cache line recorded only cycles == 0; the
-///                failure flavour was never written down
 ///
 /// CompileFail/TesterFail are rejections; Timeout/Crash are the "hard"
 /// failures the orchestrator's quarantine counts.  All of them are
 /// deterministic: the same candidate fails the same way every time.
 struct EvalOutcome {
   enum class Status : uint8_t {
-    Timed, CompileFail, TesterFail, Timeout, Crash, FailUnknown
+    Timed, CompileFail, TesterFail, Timeout, Crash
   };
   uint64_t cycles = 0;
   Status status = Status::Timed;
   bool fromCache = false;  ///< replayed from a memo/cache, not re-evaluated
   /// Observability counters for a timed candidate (attribution, memory,
-  /// compile); absent for failures and for pre-v3 cache replays.
+  /// compile); absent for failures.
   std::optional<EvalCounters> counters;
 
   [[nodiscard]] bool usable() const {
@@ -184,7 +182,7 @@ struct EvalOutcome {
 };
 
 /// Trace/cache name: "timed", "compile_fail", "tester_fail", "timeout",
-/// "crash", "fail" (FailUnknown).
+/// "crash".
 [[nodiscard]] std::string_view evalStatusName(EvalOutcome::Status s);
 /// Inverse of evalStatusName; nullopt for unknown strings.
 [[nodiscard]] std::optional<EvalOutcome::Status> parseEvalStatus(

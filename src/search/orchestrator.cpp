@@ -232,11 +232,14 @@ TuneResult runStrategySearch(const KernelJob& job,
 
   // Relays new dimension-ledger entries to the trace as dimension_end
   // events, preserving the evaluate -> dimension_end -> next-dimension
-  // order the line search has always traced.
+  // order the line search has always traced.  An entry naming the
+  // dimension about to run again (`next`) is still open and waits.
   size_t ledgerSent = 0;
-  auto flushLedger = [&] {
+  auto flushLedger = [&](const std::string& next) {
     std::vector<DimensionResult> led = strategy.ledger();
-    for (; ledgerSent < led.size(); ++ledgerSent)
+    size_t settled = led.size();
+    if (settled > ledgerSent && led.back().name == next) --settled;
+    for (; ledgerSent < settled; ++ledgerSent)
       eval.onDimensionEnd(led[ledgerSent].name, led[ledgerSent].cyclesAfter,
                           best);
   };
@@ -252,8 +255,9 @@ TuneResult runStrategySearch(const KernelJob& job,
   // made only so the strategy settles (and ledgers) the batch it last saw.
   for (;;) {
     Proposal p = strategy.propose();
-    flushLedger();
-    if (p.candidates.empty() || budgetSpent()) break;
+    const bool stop = p.candidates.empty() || budgetSpent();
+    flushLedger(stop ? std::string() : p.dimension);
+    if (stop) break;
     if (budget.maxEvaluations > 0)
       p.candidates.resize(std::min(
           p.candidates.size(),

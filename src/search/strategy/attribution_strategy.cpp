@@ -36,8 +36,7 @@
 // kSecondaryShare — a streaming reduction is ~70% memory and ~30% fp_dep,
 // and pruning the fp moves there would hide the AE win behind a restart.
 // What gets pruned is only the groups the counters say are noise.  When
-// no group dominates — or the incumbent carries no counters (a pre-v3
-// cache line) — the step is the full neighborhood, i.e. plain hill
+// no group dominates, the step is the full neighborhood, i.e. plain hill
 // climbing.  A guided step that fails to improve also widens to the full
 // neighborhood before the climber declares a local optimum, so the
 // guidance prunes provably-cold moves early without ever searching a

@@ -9,9 +9,12 @@
 // (search_golden_test holds them to a snapshot).
 //
 // Ledger timing: a dimension's entry is recorded at the first propose()
-// after its last batch was observed (closeAfter_), which keeps the
+// after one of its batches was observed (closeAfter_), which keeps the
 // evaluate -> dimension_end -> next-dimension event order through the
-// orchestrator's ledger flush.
+// orchestrator's ledger flush.  A dimension of several batches (PF DST and
+// PF INS: one per array) updates its one entry in place after each, so a
+// budget that stops it between two batches still leaves the entry, at the
+// cycles the search reached.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -60,7 +63,10 @@ class LineSearchStrategy final : public SearchStrategy {
 
   void flushClose() {
     if (closeAfter_.empty()) return;
-    ledger_.push_back({closeAfter_, curCycles_});
+    if (!ledger_.empty() && ledger_.back().name == closeAfter_)
+      ledger_.back().cyclesAfter = curCycles_;
+    else
+      ledger_.push_back({closeAfter_, curCycles_});
     closeAfter_.clear();
   }
 
@@ -81,8 +87,8 @@ class LineSearchStrategy final : public SearchStrategy {
       case Stage::PfDst: {
         // One batch per prefetchable array, arrays committed sequentially,
         // two rounds when the arrays' distances interact through the bus.
+        closeAfter_ = "PF DST";
         if (space_.prefArrays.empty()) {
-          closeAfter_ = "PF DST";
           stage_ = Stage::PfIns;
           pfIdx_ = 0;
           return {};
@@ -104,18 +110,15 @@ class LineSearchStrategy final : public SearchStrategy {
         const size_t rounds = space_.prefArrays.size() > 1 ? 2 : 1;
         if (++pfIdx_ >= space_.prefArrays.size()) {
           pfIdx_ = 0;
-          if (++pfRound_ >= rounds) {
-            closeAfter_ = "PF DST";
-            stage_ = Stage::PfIns;
-          }
+          if (++pfRound_ >= rounds) stage_ = Stage::PfIns;
         }
         return p;
       }
 
       case Stage::PfIns: {
+        closeAfter_ = "PF INS";
         while (pfIdx_ < space_.prefArrays.size()) {
           const std::string& arr = space_.prefArrays[pfIdx_++];
-          const bool last = pfIdx_ >= space_.prefArrays.size();
           Proposal p{"PF INS", {}};
           auto it = cur_.prefetch.find(arr);
           if (it != cur_.prefetch.end() && it->second.enabled) {
@@ -127,14 +130,8 @@ class LineSearchStrategy final : public SearchStrategy {
               p.candidates.push_back(std::move(t));
             }
           }
-          if (last) {
-            closeAfter_ = "PF INS";
-            stage_ = Stage::Ur;
-          }
           if (!p.candidates.empty()) return p;
-          if (last) return {};
         }
-        closeAfter_ = "PF INS";
         stage_ = Stage::Ur;
         return {};
       }

@@ -318,24 +318,28 @@ TEST(SchemaV3, TraceCountersSatisfyTheIdentityPerCandidate) {
   EXPECT_GT(counted, 0);
 }
 
-TEST(SchemaV3, LegacyCacheLinesStillLoadAndNewOnesRoundTrip) {
+TEST(SchemaV3, LegacyCacheLinesAreDamageAndNewOnesRoundTrip) {
   std::string path = tmpFile("attr_cache_compat.jsonl");
   std::remove(path.c_str());
   {
-    // A v1 line (no status, no counters) and a v2 line (status, no
-    // counters), as earlier releases wrote them.
+    // A v1 line (no status) and a v2 timed line (no counters), as earlier
+    // releases wrote them, and a failure line, which never has counters.
     std::ofstream out(path);
     out << "{\"source\":\"deadbeef\",\"machine\":\"p4e\",\"context\":"
            "\"out-of-cache\",\"n\":4096,\"seed\":42,\"tester_n\":64,"
            "\"params\":\"v1\",\"cycles\":123}\n";
     out << "{\"source\":\"deadbeef\",\"machine\":\"p4e\",\"context\":"
            "\"out-of-cache\",\"n\":4096,\"seed\":42,\"tester_n\":64,"
-           "\"params\":\"v2\",\"cycles\":0,\"status\":\"tester_fail\"}\n";
+           "\"params\":\"v2\",\"cycles\":123,\"status\":\"timed\"}\n";
+    out << "{\"source\":\"deadbeef\",\"machine\":\"p4e\",\"context\":"
+           "\"out-of-cache\",\"n\":4096,\"seed\":42,\"tester_n\":64,"
+           "\"params\":\"fail\",\"cycles\":0,\"status\":\"tester_fail\"}\n";
   }
 
   search::EvalKey v1{"deadbeef", "p4e", "out-of-cache", 4096, 42, 64, "v1"};
   search::EvalKey v2{"deadbeef", "p4e", "out-of-cache", 4096, 42, 64, "v2"};
-  search::EvalKey v3{"deadbeef", "p4e", "out-of-cache", 4096, 42, 64, "v3"};
+  search::EvalKey fail{"deadbeef", "p4e", "out-of-cache", 4096, 42, 64,
+                       "fail"};
 
   search::EvalCounters counters;
   counters.attr.cycles[static_cast<size_t>(sim::StallCause::FpDep)] = 70;
@@ -351,29 +355,80 @@ TEST(SchemaV3, LegacyCacheLinesStillLoadAndNewOnesRoundTrip) {
   {
     search::EvalCache cache;
     ASSERT_TRUE(cache.open(path));
-    EXPECT_EQ(cache.damagedLines(), 0u);
-    auto r1 = cache.lookup(v1);
-    ASSERT_TRUE(r1.has_value());
-    EXPECT_EQ(r1->cycles, 123u);
-    EXPECT_EQ(r1->status, search::EvalOutcome::Status::Timed);
-    EXPECT_FALSE(r1->counters.has_value());
-    auto r2 = cache.lookup(v2);
-    ASSERT_TRUE(r2.has_value());
-    EXPECT_EQ(r2->status, search::EvalOutcome::Status::TesterFail);
-    EXPECT_FALSE(r2->counters.has_value());
-    cache.insert(v3, 123, search::EvalOutcome::Status::Timed, counters);
+    EXPECT_EQ(cache.damagedLines(), 2u);
+    EXPECT_FALSE(cache.lookup(v1).has_value());
+    EXPECT_FALSE(cache.lookup(v2).has_value());
+    auto rf = cache.lookup(fail);
+    ASSERT_TRUE(rf.has_value());
+    EXPECT_EQ(rf->status, search::EvalOutcome::Status::TesterFail);
+    EXPECT_FALSE(rf->counters.has_value());
+    // The re-evaluated candidate is appended as a v3 line.
+    cache.insert(v2, 123, search::EvalOutcome::Status::Timed, counters);
   }
   {
-    // Reopen: the v3 record round-trips bit for bit, legacy lines intact.
+    // Reopen: the v3 record round-trips bit for bit and shadows the
+    // legacy line for the same key, which is still damage.
     search::EvalCache cache;
     ASSERT_TRUE(cache.open(path));
-    EXPECT_EQ(cache.size(), 3u);
-    auto r3 = cache.lookup(v3);
-    ASSERT_TRUE(r3.has_value());
-    ASSERT_TRUE(r3->counters.has_value());
-    EXPECT_EQ(*r3->counters, counters);
-    EXPECT_TRUE(cache.lookup(v1).has_value());
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.damagedLines(), 2u);
+    auto r2 = cache.lookup(v2);
+    ASSERT_TRUE(r2.has_value());
+    ASSERT_TRUE(r2->counters.has_value());
+    EXPECT_EQ(*r2->counters, counters);
+    EXPECT_FALSE(cache.lookup(v1).has_value());
   }
+}
+
+TEST(SchemaV3, CounterlessTimedLinesAreReEvaluatedSoWarmMatchesCold) {
+  // The attribution strategy steers by the incumbent's counters, so a
+  // timed record replayed without them would send a warm run down the
+  // unguided neighbourhood.  Such records are damage instead: the warm
+  // run evaluates them again and proposes exactly as the cold run did.
+  KernelSpec spec{BlasOp::Dot, ir::Scal::F64};
+  search::OrchestratorConfig oc;
+  oc.search = search::SearchConfig::smoke();
+  oc.strategy = search::StrategyKind::Attribution;
+  oc.budget.maxEvaluations = 16;
+  oc.cachePath = tmpFile("attr_cache_cold.jsonl");
+  std::remove(oc.cachePath.c_str());
+  search::KernelOutcome cold;
+  {
+    search::Orchestrator orch(arch::p4e(), oc);
+    cold = orch.tune({spec.name(), spec.hilSource(), &spec});
+    ASSERT_TRUE(cold.result.ok) << cold.result.error;
+  }
+
+  // The same records with every timed line's counters stripped: v2 lines.
+  const std::string stripped = tmpFile("attr_cache_stripped.jsonl");
+  size_t timedLines = 0;
+  {
+    std::ifstream in(oc.cachePath);
+    std::ofstream out(stripped, std::ios::trunc);
+    for (std::string line; std::getline(in, line);) {
+      const size_t at = line.find(",\"counters\":");
+      if (at != std::string::npos) {
+        line = line.substr(0, at) + "}";
+        ++timedLines;
+      }
+      out << line << "\n";
+    }
+  }
+  ASSERT_GT(timedLines, 0u);
+
+  oc.cachePath = stripped;
+  search::Orchestrator orch(arch::p4e(), oc);
+  EXPECT_EQ(orch.cache().damagedLines(), timedLines);
+  const search::KernelOutcome warm =
+      orch.tune({spec.name(), spec.hilSource(), &spec});
+  ASSERT_TRUE(warm.result.ok) << warm.result.error;
+  EXPECT_EQ(warm.evaluationsRun, static_cast<int>(timedLines));
+  EXPECT_EQ(warm.result.best, cold.result.best);
+  EXPECT_EQ(warm.result.bestCycles, cold.result.bestCycles);
+  EXPECT_EQ(warm.result.ledger, cold.result.ledger);
+  EXPECT_EQ(warm.result.frontier, cold.result.frontier);
+  EXPECT_EQ(warm.result.proposals, cold.result.proposals);
+  EXPECT_EQ(warm.result.evaluations, cold.result.evaluations);
 }
 
 }  // namespace

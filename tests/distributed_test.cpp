@@ -131,7 +131,8 @@ TEST(EvalCacheAppend, ConcurrentAppendersNeverTearLines) {
       for (int i = 0; i < kPerWriter; ++i) {
         const std::string params =
             "w" + std::to_string(w) + "_" + std::to_string(i);
-        cache.insert(keyFor(params), 1000 + i);
+        cache.insert(keyFor(params), 1000 + i, EvalOutcome::Status::Timed,
+                     EvalCounters{});
       }
       ::_exit(0);
     }
@@ -162,15 +163,18 @@ TEST(EvalCacheShards, OpenDirDedupsAcrossShardsAndAppendsOwnOnly) {
 
   EvalCache a;
   ASSERT_TRUE(a.openDir(dir, "w0", &err)) << err;
-  a.insert(keyFor("sv=Y ur=4"), 111);
+  a.insert(keyFor("sv=Y ur=4"), 111, EvalOutcome::Status::Timed,
+           EvalCounters{});
 
   EvalCache b;
   ASSERT_TRUE(b.openDir(dir, "w1", &err)) << err;
   EXPECT_EQ(b.size(), 1u);  // loaded w0's record at open
   // Re-inserting a key another shard already holds writes nothing...
-  b.insert(keyFor("sv=Y ur=4"), 111);
+  b.insert(keyFor("sv=Y ur=4"), 111, EvalOutcome::Status::Timed,
+           EvalCounters{});
   // ...and a fresh key lands in b's own shard file only.
-  b.insert(keyFor("sv=Y ur=8"), 222);
+  b.insert(keyFor("sv=Y ur=8"), 222, EvalOutcome::Status::Timed,
+           EvalCounters{});
 
   const auto w1Keys = cacheKeys(EvalCache::shardFileName(dir, "w1"));
   ASSERT_EQ(w1Keys.size(), 1u);
@@ -204,6 +208,7 @@ TEST(EvalCacheMerge, MergeDedupsCountsAndIsOrderIndependent) {
 
   EvalRecord rec;
   rec.cycles = 777;
+  rec.counters = EvalCounters{};
   {
     std::ofstream a(fileA);
     a << EvalCache::formatLine(keyFor("k1"), rec) << "\n"

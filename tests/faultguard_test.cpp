@@ -359,7 +359,7 @@ TEST(EvalCacheV2, StatusRoundTripsThroughDisk) {
   {
     EvalCache cache;
     ASSERT_TRUE(cache.open(path));
-    cache.insert(timed, 5555, EvalOutcome::Status::Timed);
+    cache.insert(timed, 5555, EvalOutcome::Status::Timed, EvalCounters{});
     cache.insert(timeout, 0, EvalOutcome::Status::Timeout);
     cache.insert(crash, 0, EvalOutcome::Status::Crash);
   }
@@ -373,28 +373,32 @@ TEST(EvalCacheV2, StatusRoundTripsThroughDisk) {
   std::remove(path.c_str());
 }
 
-TEST(EvalCacheV2, V1LinesStillLoad) {
+TEST(EvalCacheV2, LegacyLinesAreSkippedAsDamage) {
   std::string path = tmpFile("evalcache_v1.jsonl");
   {
     std::ofstream out(path, std::ios::trunc);
-    // v1 lines: no status field.
+    // v1 lines (no status field) and a v2 timed line (no counters): each
+    // would replay differently from a fresh evaluation.
     out << "{\"source\":\"v1\",\"machine\":\"P4E\",\"context\":\"in-L2\","
            "\"n\":128,\"seed\":1,\"tester_n\":16,\"params\":\"ur=2\","
            "\"cycles\":777}\n";
     out << "{\"source\":\"v1\",\"machine\":\"P4E\",\"context\":\"in-L2\","
            "\"n\":128,\"seed\":1,\"tester_n\":16,\"params\":\"ur=4\","
            "\"cycles\":0}\n";
+    out << "{\"source\":\"v1\",\"machine\":\"P4E\",\"context\":\"in-L2\","
+           "\"n\":128,\"seed\":1,\"tester_n\":16,\"params\":\"ur=8\","
+           "\"cycles\":777,\"status\":\"timed\"}\n";
   }
   EvalCache cache;
   ASSERT_TRUE(cache.open(path));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.damagedLines(), 0u);
-  EvalKey good{"v1", "P4E", "in-L2", 128, 1, 16, "ur=2"};
-  EvalKey failed{"v1", "P4E", "in-L2", 128, 1, 16, "ur=4"};
-  EXPECT_EQ(cache.lookup(good)->status, EvalOutcome::Status::Timed);
-  EXPECT_EQ(cache.lookup(good)->cycles, 777u);
-  // A v1 zero is "some failure whose flavour was never recorded".
-  EXPECT_EQ(cache.lookup(failed)->status, EvalOutcome::Status::FailUnknown);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.damagedLines(), 3u);
+  EXPECT_FALSE(
+      cache.lookup({"v1", "P4E", "in-L2", 128, 1, 16, "ur=2"}).has_value());
+  EXPECT_FALSE(
+      cache.lookup({"v1", "P4E", "in-L2", 128, 1, 16, "ur=4"}).has_value());
+  EXPECT_FALSE(
+      cache.lookup({"v1", "P4E", "in-L2", 128, 1, 16, "ur=8"}).has_value());
   std::remove(path.c_str());
 }
 
@@ -417,12 +421,14 @@ TEST(EvalStatusNames, RoundTrip) {
   for (EvalOutcome::Status s :
        {EvalOutcome::Status::Timed, EvalOutcome::Status::CompileFail,
         EvalOutcome::Status::TesterFail, EvalOutcome::Status::Timeout,
-        EvalOutcome::Status::Crash, EvalOutcome::Status::FailUnknown}) {
+        EvalOutcome::Status::Crash}) {
     auto parsed = parseEvalStatus(evalStatusName(s));
     ASSERT_TRUE(parsed.has_value()) << evalStatusName(s);
     EXPECT_EQ(*parsed, s);
   }
   EXPECT_FALSE(parseEvalStatus("nonsense").has_value());
+  // So was "fail", the v1 cache's unrecorded failure.
+  EXPECT_FALSE(parseEvalStatus("fail").has_value());
   // Screen-then-confirm and its "screened" status were removed.
   EXPECT_FALSE(parseEvalStatus("screened").has_value());
 }

@@ -158,8 +158,9 @@ TEST(EvalCacheTest, PersistAndReload) {
     EvalCache cache;
     ASSERT_TRUE(cache.open(path));
     EXPECT_FALSE(cache.lookup(key).has_value());
-    cache.insert(key, 12345);
-    cache.insert(key, 99999);  // duplicate insert is a no-op
+    cache.insert(key, 12345, EvalOutcome::Status::Timed, EvalCounters{});
+    cache.insert(key, 99999, EvalOutcome::Status::Timed,
+                 EvalCounters{});  // duplicate insert is a no-op
     auto hit = cache.lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->cycles, 12345u);
@@ -186,7 +187,7 @@ TEST(EvalCacheTest, SkipsCorruptLines) {
     std::ofstream out(path, std::ios::trunc);
     out << "{\"source\":\"aa\",\"machine\":\"P4E\",\"context\":\"in-L2\","
            "\"n\":128,\"seed\":1,\"tester_n\":16,\"params\":\"ur=2\","
-           "\"cycles\":777}\n";
+           "\"cycles\":777,\"status\":\"timed\",\"counters\":{}}\n";
     out << "not json at all\n";
     out << "{\"source\":\"truncated\n";
   }

@@ -163,28 +163,41 @@ TEST(StrategyDeterminism, DifferentSeedsDiverge) {
 // --- budget enforcement -----------------------------------------------------
 
 TEST(Budget, CapsObservedCandidates) {
-  // Exact at every budget: 12 truncates evolve's first generation (15
-  // candidates after DEFAULTS), and 16 and 32 stop it on a generation
-  // boundary.
-  KernelSpec spec{BlasOp::Asum, ir::Scal::F64};
-  for (int budget : {12, 16, 32}) {
-    for (StrategyKind kind : allStrategies()) {
-      const std::string what =
-          std::string(strategyName(kind)) + "@" + std::to_string(budget);
-      Budget b;
-      b.maxEvaluations = budget;
-      TuneResult r = tuneKernel(spec, arch::p4e(), smokeConfig(), kind, b);
-      ASSERT_TRUE(r.ok) << what << ": " << r.error;
-      EXPECT_GE(r.proposals, 1) << what;
-      EXPECT_LE(r.proposals, budget) << what;
-      EXPECT_LE(r.evaluations, r.proposals) << what;
-      ASSERT_FALSE(r.frontier.empty()) << what;
-      EXPECT_EQ(r.frontier.front().proposals, 1);
-      EXPECT_EQ(r.frontier.front().cycles, r.defaultCycles);
-      EXPECT_EQ(r.frontier.back().cycles, r.bestCycles);
-      // The batch the budget stopped reaches the ledger too.
-      ASSERT_FALSE(r.ledger.empty()) << what;
-      EXPECT_EQ(r.ledger.back().cyclesAfter, r.bestCycles) << what;
+  // Exact at every budget: on dasum, 12 truncates evolve's first
+  // generation (15 candidates after DEFAULTS), and 16 and 32 stop it on a
+  // generation boundary.  The swaps have two prefetchable arrays, so the
+  // line search's PF DST dimension spans several batches: these budgets
+  // stop it between two of them, or inside one.
+  struct Case {
+    KernelSpec spec;
+    std::vector<int> budgets;
+  };
+  const Case cases[] = {
+      {{BlasOp::Asum, ir::Scal::F64}, {12, 16, 32}},
+      {{BlasOp::Swap, ir::Scal::F32}, {8}},
+      {{BlasOp::Swap, ir::Scal::F64}, {3, 4, 5, 6, 7, 8, 9}},
+  };
+  for (const Case& c : cases) {
+    for (int budget : c.budgets) {
+      for (StrategyKind kind : allStrategies()) {
+        const std::string what = c.spec.name() + " " +
+                                 std::string(strategyName(kind)) + "@" +
+                                 std::to_string(budget);
+        Budget b;
+        b.maxEvaluations = budget;
+        TuneResult r = tuneKernel(c.spec, arch::p4e(), smokeConfig(), kind, b);
+        ASSERT_TRUE(r.ok) << what << ": " << r.error;
+        EXPECT_GE(r.proposals, 1) << what;
+        EXPECT_LE(r.proposals, budget) << what;
+        EXPECT_LE(r.evaluations, r.proposals) << what;
+        ASSERT_FALSE(r.frontier.empty()) << what;
+        EXPECT_EQ(r.frontier.front().proposals, 1);
+        EXPECT_EQ(r.frontier.front().cycles, r.defaultCycles);
+        EXPECT_EQ(r.frontier.back().cycles, r.bestCycles);
+        // The batch the budget stopped reaches the ledger too.
+        ASSERT_FALSE(r.ledger.empty()) << what;
+        EXPECT_EQ(r.ledger.back().cyclesAfter, r.bestCycles) << what;
+      }
     }
   }
 }

@@ -81,8 +81,11 @@ int main(int argc, char** argv) {
       ep.unixPath = a.substr(std::strlen("--socket="));
     } else if (startsWith(a, "--port=")) {
       int64_t port = 0;
-      if (!parseInt64(a.substr(std::strlen("--port=")), &port) || port < 1) {
-        std::fprintf(stderr, "serve_probe: bad --port\n");
+      // Bounded before the narrowing: 70000 must not connect to 4464.
+      if (!parseInt64(a.substr(std::strlen("--port=")), &port) || port < 1 ||
+          port > 65535) {
+        std::fprintf(stderr,
+                     "serve_probe: bad --port (want integer in 1..65535)\n");
         return 2;
       }
       ep.tcpPort = static_cast<int>(port);

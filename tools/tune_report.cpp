@@ -340,8 +340,8 @@ int main(int argc, char** argv) {
       if (k.bestAttr.has_value()) addAttrRow(k.name, "ifko", *k.bestAttr);
     }
     if (kernelsWithAttr == 0) {
-      std::printf("\nno attribution counters in the trace (pre-v3 trace, or "
-                  "all candidates replayed from a pre-v3 cache)\n");
+      std::printf("\nno attribution counters in the trace (written before "
+                  "trace schema v3)\n");
     } else {
       std::printf("\ncycle attribution (%% of each run's cycles):\n");
       std::fputs(a.str().c_str(), stdout);
