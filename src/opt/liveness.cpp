@@ -4,16 +4,16 @@
 
 namespace ifko::opt {
 
-std::vector<ir::Reg> usedRegs(const ir::Inst& in) {
-  std::vector<ir::Reg> out;
+UsedRegs usedRegs(const ir::Inst& in) {
+  UsedRegs out;
   const ir::OpInfo& info = ir::opInfo(in.op);
-  if (info.numSrcs >= 1 && in.src1.valid()) out.push_back(in.src1);
-  if (info.numSrcs >= 2 && in.src2.valid()) out.push_back(in.src2);
-  if (info.numSrcs >= 3 && in.src3.valid()) out.push_back(in.src3);
-  if (in.op == ir::Op::Ret && in.src1.valid()) out.push_back(in.src1);
+  if (info.numSrcs >= 1 && in.src1.valid()) out.push(in.src1);
+  if (info.numSrcs >= 2 && in.src2.valid()) out.push(in.src2);
+  if (info.numSrcs >= 3 && in.src3.valid()) out.push(in.src3);
+  if (in.op == ir::Op::Ret && in.src1.valid()) out.push(in.src1);
   if (ir::touchesMem(in.op)) {
-    if (in.mem.base.valid()) out.push_back(in.mem.base);
-    if (in.mem.index.valid()) out.push_back(in.mem.index);
+    if (in.mem.base.valid()) out.push(in.mem.base);
+    if (in.mem.index.valid()) out.push(in.mem.index);
   }
   return out;
 }
@@ -23,38 +23,38 @@ ir::Reg definedReg(const ir::Inst& in) {
 }
 
 Liveness computeLiveness(const ir::Function& fn) {
+  const size_t numBlocks = fn.blocks.size();
   Liveness lv;
-  // use/def per block.
-  std::unordered_map<int32_t, std::set<RegKey>> use, def;
-  for (const auto& bb : fn.blocks) {
-    auto& u = use[bb.id];
-    auto& d = def[bb.id];
-    for (const auto& in : bb.insts) {
-      for (ir::Reg r : usedRegs(in))
-        if (!d.count(regKey(r))) u.insert(regKey(r));
+  lv.regs = ir::RegIndex(fn);
+  const int32_t numRegs = lv.regs.size();
+  // Upward-exposed uses and definitions per block.
+  std::vector<ir::RegSet> use(numBlocks, ir::RegSet(numRegs));
+  std::vector<ir::RegSet> def(numBlocks, ir::RegSet(numRegs));
+  for (size_t b = 0; b < numBlocks; ++b) {
+    for (const auto& in : fn.blocks[b].insts) {
+      for (ir::Reg r : usedRegs(in)) {
+        const int32_t k = lv.regs(r);
+        if (!def[b].test(k)) use[b].set(k);
+      }
       ir::Reg w = definedReg(in);
-      if (w.valid()) d.insert(regKey(w));
+      if (w.valid()) def[b].set(lv.regs(w));
     }
-    lv.liveIn[bb.id];
-    lv.liveOut[bb.id];
   }
+  lv.liveIn.assign(numBlocks, ir::RegSet(numRegs));
+  lv.liveOut.assign(numBlocks, ir::RegSet(numRegs));
 
+  const ir::Cfg cfg = ir::buildCfg(fn);
+  ir::RegSet out(numRegs), in(numRegs);
   bool changed = true;
   while (changed) {
     changed = false;
-    for (size_t i = fn.blocks.size(); i-- > 0;) {
-      const auto& bb = fn.blocks[i];
-      std::set<RegKey> out;
-      for (int32_t s : ir::successors(fn, i)) {
-        const auto& sin = lv.liveIn[s];
-        out.insert(sin.begin(), sin.end());
-      }
-      std::set<RegKey> in = use[bb.id];
-      for (RegKey k : out)
-        if (!def[bb.id].count(k)) in.insert(k);
-      if (out != lv.liveOut[bb.id] || in != lv.liveIn[bb.id]) {
-        lv.liveOut[bb.id] = std::move(out);
-        lv.liveIn[bb.id] = std::move(in);
+    for (size_t b = numBlocks; b-- > 0;) {
+      out.clear();
+      for (int32_t s : cfg.succs[b]) out |= lv.liveIn[s];
+      in.assignTransfer(use[b], out, def[b]);
+      if (out != lv.liveOut[b] || in != lv.liveIn[b]) {
+        std::swap(lv.liveOut[b], out);
+        std::swap(lv.liveIn[b], in);
         changed = true;
       }
     }
