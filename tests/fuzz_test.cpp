@@ -14,6 +14,9 @@
 #include "arch/machine.h"
 #include "fko/compiler.h"
 #include "fko/harness.h"
+#include "liveness_reference.h"
+#include "opt/loop_xform.h"
+#include "opt/repeatable.h"
 #include "support/rng.h"
 
 namespace ifko {
@@ -159,6 +162,28 @@ TEST(HilFuzz, RandomKernelsSurviveRandomTransforms) {
                          << src;
   }
   EXPECT_EQ(generated, compiled);
+}
+
+TEST(HilFuzz, DenseLivenessMatchesSetReference) {
+  SplitMix64 rng(0x11FE);
+  for (int iter = 0; iter < 120; ++iter) {
+    KernelGen gen(rng);
+    const std::string src = gen.generate();
+    const opt::TuningParams params = randomParams(rng);
+    const arch::MachineConfig machine =
+        rng.below(2) == 0 ? arch::p4e() : arch::opteron();
+    const fko::LoweredKernel lowered = fko::lowerKernel(src);
+    ASSERT_TRUE(lowered.ok) << lowered.error << "\n--- source ---\n" << src;
+    const std::string where = "fuzz kernel " + std::to_string(iter) + " with " +
+                              params.str() + "\n--- source ---\n" + src;
+    ASSERT_TRUE(testing::livenessMatchesReference(lowered.fn, where + " (lowered)"));
+    std::string err;
+    auto fn = opt::applyFundamentalTransforms(lowered.fn, params, machine, &err);
+    ASSERT_TRUE(fn.has_value()) << where << ": " << err;
+    ASSERT_TRUE(testing::livenessMatchesReference(*fn, where + " (fundamental)"));
+    (void)opt::runRepeatableReport(*fn);
+    ASSERT_TRUE(testing::livenessMatchesReference(*fn, where + " (repeatable)"));
+  }
 }
 
 TEST(HilFuzz, GeneratedSourcesAreDeterministic) {

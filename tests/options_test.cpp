@@ -216,6 +216,18 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// A verb without a positional argument rejects one before it reads a file
+// or starts: the socket path is unbindable, so a daemon that started anyway
+// would fail with a different message instead of hanging the test.
+TEST(Driver, VerbWithoutArgumentRejectsPositional) {
+  std::string out;
+  const std::string stray = IFKO_KERNELS_HIL_DIR "/ddot.hil";
+  EXPECT_EQ(runIfko("serve " + stray + " --socket=/nonexistent/dir/ifko.sock",
+                    &out),
+            2);
+  EXPECT_EQ(out, "serve takes no argument '" + stray + "'\n");
+}
+
 /// The lines of `usage` that list `verb`'s flags.
 std::string flagLinesOf(const std::string& usage, const std::string& verb) {
   const std::string head = "\n  " + verb + " ";
