@@ -795,6 +795,10 @@ int main(int argc, char** argv) {
   if (verb == nullptr) return usage();
 
   const bool hasArg = argc > 2 && argv[2][0] != '-';
+  if (hasArg && verb->argHelp[0] == '\0') {
+    std::fprintf(stderr, "%s takes no argument '%s'\n", verb->name, argv[2]);
+    return 2;
+  }
   if (verb->needsArg && !hasArg) return usage();
   Options o;
   std::string err;
