@@ -35,15 +35,17 @@ LoopInfo analyzeLoop(const ir::Function& fn) {
   const ir::LoopMark& loop = fn.loop;
 
   // --- natural-loop membership: reverse walk from the latch to the header --
-  auto preds = ir::predecessors(fn);
+  const ir::Cfg cfg = ir::buildCfg(fn);
   std::set<int32_t> members = {loop.header, loop.latch};
   std::vector<int32_t> work = {loop.latch};
   while (!work.empty()) {
     int32_t b = work.back();
     work.pop_back();
     if (b == loop.header) continue;
-    for (int32_t p : preds[b]) {
-      if (members.insert(p).second) work.push_back(p);
+    size_t pos = fn.layoutIndex(b);
+    if (pos == static_cast<size_t>(-1)) continue;
+    for (int32_t p : cfg.preds[pos]) {
+      if (members.insert(fn.blocks[p].id).second) work.push_back(fn.blocks[p].id);
     }
   }
 
