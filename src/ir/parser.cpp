@@ -30,6 +30,11 @@ bool parseIntField(std::string_view t, int64_t* out) {
   return ifko::parseInt64(t, out);
 }
 
+/// A block label or branch target: 0..kMaxParsedId.
+bool parseBlockId(std::string_view t, int64_t* out) {
+  return parseIntField(t, out) && *out >= 0 && *out <= kMaxParsedId;
+}
+
 class Parser {
  public:
   Parser(std::string_view text, std::string* error)
@@ -44,15 +49,17 @@ class Parser {
     size_t i = 1;
     if (i < lines_.size() &&
         startsWith(trim(lines_[i]), "; tuned loop:")) {
+      line_ = i;
       if (!parseLoopMark(lines_[i])) return std::nullopt;
       ++i;
     }
     int32_t curBlock = -1;
     for (; i < lines_.size(); ++i) {
       std::string_view line = trim(lines_[i]);
+      line_ = i;
       if (startsWith(line, "bb") && line.back() == ':') {
         int64_t id = 0;
-        if (!parseIntField(line.substr(2, line.size() - 3), &id) || id < 0)
+        if (!parseBlockId(line.substr(2, line.size() - 3), &id))
           return fail(i, "bad block label '" + std::string(line) + "'");
         fn_.addBlockWithId(static_cast<int32_t>(id));
         curBlock = static_cast<int32_t>(id);
@@ -69,6 +76,8 @@ class Parser {
 
  private:
   std::optional<Function> fail(size_t line, const std::string& msg) {
+    if (failed_) return std::nullopt;  // keep the first, most precise message
+    failed_ = true;
     if (error_ != nullptr) {
       std::ostringstream os;
       os << "line " << (line + 1) << ": " << msg;
@@ -91,12 +100,16 @@ class Parser {
     bool virt = pos < t.size() && t[pos] == 'v';
     if (virt) ++pos;
     if (pos >= t.size()) return std::nullopt;
-    char* end = nullptr;
-    std::string digits(t.substr(pos));
-    long id = std::strtol(digits.c_str(), &end, 10);
-    if (end == digits.c_str() || *end != '\0') return std::nullopt;
-    Reg r{fp ? RegKind::Fp : RegKind::Int,
-          static_cast<int32_t>(virt ? kVirtBase + id : id)};
+    int64_t id = 0;
+    if (!parseIntField(t.substr(pos), &id) || id < 0) return std::nullopt;
+    if (virt) id += kVirtBase;
+    if (id > kMaxParsedId) {
+      (void)fail(line_, "register '" + std::string(t) +
+                            "' out of range (ids above " +
+                            std::to_string(kMaxParsedId) + " are rejected)");
+      return std::nullopt;
+    }
+    Reg r{fp ? RegKind::Fp : RegKind::Int, static_cast<int32_t>(id)};
     auto& maxRef = fp ? max_fp_ : max_int_;
     maxRef = std::max(maxRef, r.id);
     return r;
@@ -196,7 +209,7 @@ class Parser {
       std::string v = field(key);
       if (!startsWith(v, "bb")) return -1;  // absent field: no loop block
       int64_t id = 0;
-      if (!parseIntField(std::string_view(v).substr(2), &id) || id < 0) {
+      if (!parseBlockId(std::string_view(v).substr(2), &id)) {
         (void)fail(1, "bad loop-mark block '" + v + "'");
         badBlock = true;
         return -1;
@@ -343,7 +356,7 @@ class Parser {
       if (!t || !startsWith(*t, "bb"))
         return failInst(lineNo, "missing branch target");
       int64_t label = 0;
-      if (!parseIntField(std::string_view(*t).substr(2), &label) || label < 0)
+      if (!parseBlockId(std::string_view(*t).substr(2), &label))
         return failInst(lineNo, "bad branch target '" + *t + "'");
       in.label = static_cast<int32_t>(label);
     }
@@ -353,6 +366,8 @@ class Parser {
   }
 
   std::vector<std::string> lines_;
+  size_t line_ = 0;  ///< line being parsed, for parseReg's message
+  bool failed_ = false;
   std::string* error_;
   Function fn_;
   int32_t max_int_ = 0;
