@@ -6,18 +6,15 @@
 // hand-rolled line search over unroll and prefetch distance.
 //
 //   $ ./custom_kernel
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "arch/machine.h"
 #include "fko/compiler.h"
+#include "kernels/tester.h"
 #include "search/linesearch.h"
 #include "sim/decode.h"
-#include "sim/memsys.h"
 #include "sim/timer.h"
-#include "sim/timing.h"
-#include "support/rng.h"
 
 namespace {
 
@@ -55,16 +52,11 @@ Run runOnce(const ifko::ir::Function& fn, const ifko::arch::MachineConfig& m,
   uint64_t xAddr = mem.allocate(static_cast<size_t>(n) * 8, 64);
   uint64_t yAddr = mem.allocate(static_cast<size_t>(n) * 8, 64);
   SplitMix64 rng(99);
-  std::vector<double> hx(static_cast<size_t>(n)), hy(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    hx[static_cast<size_t>(i)] = rng.uniform(-1, 1);
-    hy[static_cast<size_t>(i)] = rng.uniform(-1, 1);
-    mem.write<double>(xAddr + static_cast<uint64_t>(i) * 8, hx[static_cast<size_t>(i)]);
-    mem.write<double>(yAddr + static_cast<uint64_t>(i) * 8, hy[static_cast<size_t>(i)]);
-  }
+  kernels::fillUniform(mem, xAddr, n, ir::Scal::F64, rng);
+  kernels::fillUniform(mem, yAddr, n, ir::Scal::F64, rng);
+  const std::vector<double> hx = kernels::readVector<double>(mem, xAddr, n);
+  const std::vector<double> hy = kernels::readVector<double>(mem, yAddr, n);
 
-  sim::MemSystem msys(m);
-  sim::TimingModel timing(m, msys);
   std::vector<sim::ArgValue> args;
   for (const auto& p : fn.params) {
     if (p.isPointer())
@@ -74,16 +66,13 @@ Run runOnce(const ifko::ir::Function& fn, const ifko::arch::MachineConfig& m,
     else
       args.emplace_back(p.name == "alpha" ? alpha : beta);
   }
-  sim::runDecoded(sim::decodeFunction(fn, m), mem, args, &timing);
+  // Out of cache: no operand is warmed before the timed run.
+  out.cycles = sim::timeRun(m, sim::decodeFunction(fn, m), mem, args).cycles;
 
+  const std::vector<double> got = kernels::readVector<double>(mem, yAddr, n);
   out.correct = true;
-  for (int64_t i = 0; i < n; ++i) {
-    double want = alpha * hx[static_cast<size_t>(i)] +
-                  beta * hy[static_cast<size_t>(i)];
-    double got = mem.read<double>(yAddr + static_cast<uint64_t>(i) * 8);
-    if (got != want) out.correct = false;
-  }
-  out.cycles = timing.cycles();
+  for (size_t i = 0; i < got.size(); ++i)
+    if (got[i] != alpha * hx[i] + beta * hy[i]) out.correct = false;
   return out;
 }
 

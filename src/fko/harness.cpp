@@ -1,12 +1,9 @@
 #include "fko/harness.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "analysis/loopinfo.h"
 #include "fko/compiler.h"
-#include "sim/timing.h"
-#include "support/rng.h"
 
 namespace ifko::fko {
 
@@ -34,14 +31,8 @@ GenericData makeGenericData(const std::vector<ir::Param>& params, int64_t n,
       size_t esize = scalBytes(p.elemType());
       size_t bytes = std::max<size_t>(elems * esize, 64);
       uint64_t addr = data.mem->allocate(bytes + 192, 64) + 192;
-      for (int64_t i = 0; i < static_cast<int64_t>(elems); ++i) {
-        double v = rng.uniform(-1.0, 1.0);
-        if (p.elemType() == ir::Scal::F32)
-          data.mem->write<float>(addr + static_cast<uint64_t>(i) * 4,
-                                 static_cast<float>(v));
-        else
-          data.mem->write<double>(addr + static_cast<uint64_t>(i) * 8, v);
-      }
+      kernels::fillUniform(*data.mem, addr, static_cast<int64_t>(elems),
+                           p.elemType(), rng);
       data.arrays.push_back({p.name, addr, elems * esize, p.vecWritten});
       data.args.emplace_back(static_cast<int64_t>(addr));
     } else if (p.kind == ir::ParamKind::Int) {
@@ -101,12 +92,9 @@ DiffReference buildDiffReference(const std::string& hilSource, int64_t n,
 
   ref.pristine = makeGenericData(reference.fn, n, seed, 0.75, ref.strideElems);
   ref.output = ref.pristine.clone();
-  try {
-    ref.run = sim::runDecoded(sim::decodeFunction(reference.fn),
-                              *ref.output.mem, ref.output.args);
-  } catch (const std::exception& e) {
-    ref.error = std::string("kernel faulted: ") + e.what();
-  }
+  ref.error = kernels::runUntimed(sim::decodeFunction(reference.fn),
+                                  *ref.output.mem, ref.output.args, "kernel",
+                                  &ref.run);
   return ref;
 }
 
@@ -126,11 +114,10 @@ DiffOutcome checkAgainstReference(const DiffReference& ref,
   const GenericData& refData = ref.output;
 
   sim::RunResult candRun;
-  try {
-    candRun = sim::runDecoded(candidate, *candData.mem, candData.args);
-  } catch (const std::exception& e) {
-    return {false, std::string("kernel faulted: ") + e.what()};
-  }
+  if (std::string err = kernels::runUntimed(candidate, *candData.mem,
+                                            candData.args, "kernel", &candRun);
+      !err.empty())
+    return {false, err};
 
   // Written arrays must match.  Elementwise kernels match bitwise (the
   // transforms never change elementwise arithmetic); when the kernel has
@@ -156,7 +143,6 @@ DiffOutcome checkAgainstReference(const DiffReference& ref,
       continue;
     }
     const size_t esize = scalBytes(ref.elem);
-    const double tol = ref.elem == ir::Scal::F32 ? 5e-3 : 1e-8;
     for (size_t off = 0; off + esize <= span.bytes; off += esize) {
       double a = ref.elem == ir::Scal::F32
                      ? candData.mem->read<float>(span.addr + off)
@@ -164,7 +150,7 @@ DiffOutcome checkAgainstReference(const DiffReference& ref,
       double b = ref.elem == ir::Scal::F32
                      ? refData.mem->read<float>(refSpan->addr + off)
                      : refData.mem->read<double>(refSpan->addr + off);
-      if (std::fabs(a - b) > tol * std::max(1.0, std::fabs(b))) {
+      if (!kernels::withinTolerance(a, b, ref.elem)) {
         std::ostringstream os;
         os << "output array '" << span.name << "' differs at element "
            << off / esize << ": " << a << " vs " << b;
@@ -186,8 +172,9 @@ DiffOutcome checkAgainstReference(const DiffReference& ref,
   }
   if (refRun.fpResult) {
     double want = *refRun.fpResult, got = *candRun.fpResult;
-    double tol = ref.retType == ir::RetType::F32 ? 5e-3 : 1e-8;
-    if (std::fabs(got - want) > tol * std::max(1.0, std::fabs(want))) {
+    const ir::Scal prec =
+        ref.retType == ir::RetType::F32 ? ir::Scal::F32 : ir::Scal::F64;
+    if (!kernels::withinTolerance(got, want, prec)) {
       std::ostringstream os;
       os << "result " << got << ", expected " << want;
       return {false, os.str()};
@@ -221,12 +208,10 @@ sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
   GenericData data = tmpl != nullptr
                          ? tmpl->clone()
                          : makeGenericData(params, n, seed, 0.75, strideElems);
-  sim::MemSystem mem(machine);
+  std::vector<sim::WarmSpan> warm;
   if (ctx == sim::TimeContext::InL2)
-    for (const auto& span : data.arrays) mem.warm(span.addr, span.bytes);
-  // Warming displaces lines; reset so its evictions never reach the timed
-  // run's counters (and OutOfCache/InL2 stats stay independent).
-  mem.resetStats();
+    for (const auto& span : data.arrays)
+      warm.push_back({span.addr, span.bytes});
   // Truncated runs keep the full-size operands and shorten only the trip
   // count (the LAST integer parameter; see makeGenericData): the timed
   // region is an exact prefix of the full run.
@@ -237,16 +222,7 @@ sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
       break;
     }
   }
-  sim::TimingModel timing(machine, mem);
-  sim::RunResult run = sim::runDecoded(dfn, *data.mem, data.args, &timing);
-
-  sim::TimeResult out;
-  out.cycles = timing.cycles();
-  out.dynInsts = run.dynInsts;
-  out.mem = mem.stats();
-  out.core = timing.stats();
-  out.attr = timing.attribution();
-  return out;
+  return sim::timeRun(machine, dfn, *data.mem, data.args, warm);
 }
 
 }  // namespace ifko::fko

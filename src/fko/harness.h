@@ -17,8 +17,8 @@
 
 #include "arch/machine.h"
 #include "ir/function.h"
+#include "kernels/tester.h"
 #include "sim/decode.h"
-#include "sim/memsys.h"
 #include "sim/timer.h"
 
 namespace ifko::fko {
@@ -64,10 +64,7 @@ struct GenericData {
   return makeGenericData(fn.params, n, seed, alpha, strideElems);
 }
 
-struct DiffOutcome {
-  bool ok = true;
-  std::string message;
-};
+using DiffOutcome = kernels::TestOutcome;
 
 /// The unoptimized side of a differential test at one length: the plain
 /// lowering's operands before and after its run, plus what the comparison

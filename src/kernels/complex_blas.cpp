@@ -1,13 +1,11 @@
 #include "kernels/complex_blas.h"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "sim/decode.h"
-#include "sim/memsys.h"
-#include "support/rng.h"
-#include "support/str.h"
 
 namespace ifko::kernels {
 
@@ -60,17 +58,14 @@ struct ComplexData {
   double ar = 0.75, ai = -0.375;
 };
 
-template <typename T>
-ComplexData makeData(int64_t n, uint64_t seed, bool twoVecs) {
+ComplexData makeData(ir::Scal prec, int64_t n, uint64_t seed, bool twoVecs) {
   ComplexData d;
-  size_t bytes = static_cast<size_t>(n) * 2 * sizeof(T);
+  size_t bytes = static_cast<size_t>(n) * 2 * scalBytes(prec);
   d.mem = std::make_unique<sim::Memory>(2 * bytes + (1 << 20));
   SplitMix64 rng(seed);
   auto fill = [&] {
     uint64_t addr = d.mem->allocate(std::max<size_t>(bytes, 64), 64);
-    for (int64_t i = 0; i < 2 * n; ++i)
-      d.mem->write<T>(addr + static_cast<uint64_t>(i) * sizeof(T),
-                      static_cast<T>(rng.uniform(-1.0, 1.0)));
+    fillUniform(*d.mem, addr, 2 * n, prec, rng);
     return addr;
   };
   if (twoVecs) d.xAddr = fill();
@@ -78,8 +73,9 @@ ComplexData makeData(int64_t n, uint64_t seed, bool twoVecs) {
   return d;
 }
 
-std::vector<sim::ArgValue> buildArgs(const ir::Function& fn,
-                                     const ComplexData& d, int64_t n) {
+/// Runs `fn` (named `what` in a fault message) on `d`.
+std::string runComplex(const ir::Function& fn, const ComplexData& d, int64_t n,
+                       std::string_view what) {
   std::vector<sim::ArgValue> args;
   for (const auto& p : fn.params) {
     if (p.isPointer())
@@ -89,24 +85,18 @@ std::vector<sim::ArgValue> buildArgs(const ir::Function& fn,
     else
       args.emplace_back(p.name == "ar" ? d.ar : d.ai);
   }
-  return args;
-}
-
-ir::Scal precOf(const ir::Function& fn) {
-  for (const auto& p : fn.params)
-    if (p.isPointer()) return p.elemType();
-  return ir::Scal::F64;
+  return runUntimed(sim::decodeFunction(fn), *d.mem, args, what);
 }
 
 template <typename T>
 ComplexOutcome check(const sim::Memory& mem, uint64_t addr, int64_t n,
                      const std::vector<T>& want, const char* which) {
-  for (int64_t i = 0; i < 2 * n; ++i) {
-    T got = mem.read<T>(addr + static_cast<uint64_t>(i) * sizeof(T));
-    if (got != want[static_cast<size_t>(i)]) {
+  const std::vector<T> got = readVector<T>(mem, addr, 2 * n);
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i] != want[i]) {
       std::ostringstream os;
       os << which << "[" << i / 2 << "]." << (i % 2 ? "im" : "re") << " = "
-         << got << ", expected " << want[static_cast<size_t>(i)];
+         << got[i] << ", expected " << want[i];
       return {false, os.str()};
     }
   }
@@ -115,56 +105,40 @@ ComplexOutcome check(const sim::Memory& mem, uint64_t addr, int64_t n,
 
 template <typename T>
 ComplexOutcome testCscalT(const ir::Function& fn, int64_t n, uint64_t seed) {
-  ComplexData d = makeData<T>(n, seed, /*twoVecs=*/false);
-  std::vector<T> want(static_cast<size_t>(2 * n));
+  ComplexData d = makeData(precOf(fn), n, seed, /*twoVecs=*/false);
+  const std::vector<T> y = readVector<T>(*d.mem, d.yAddr, 2 * n);
+  std::vector<T> want(y.size());
   T ar = static_cast<T>(d.ar), ai = static_cast<T>(d.ai);
-  for (int64_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < want.size(); i += 2) {
     // Same expression shape as the kernel for bitwise agreement.
-    T re = d.mem->read<T>(d.yAddr + static_cast<uint64_t>(2 * i) * sizeof(T));
-    T im = d.mem->read<T>(d.yAddr + static_cast<uint64_t>(2 * i + 1) * sizeof(T));
-    want[static_cast<size_t>(2 * i)] = ar * re - ai * im;
-    want[static_cast<size_t>(2 * i + 1)] = ar * im + ai * re;
+    want[i] = ar * y[i] - ai * y[i + 1];
+    want[i + 1] = ar * y[i + 1] + ai * y[i];
   }
-  try {
-    sim::runDecoded(sim::decodeFunction(fn), *d.mem, buildArgs(fn, d, n));
-  } catch (const std::exception& e) {
-    return {false, std::string("cscal faulted: ") + e.what()};
-  }
+  if (std::string err = runComplex(fn, d, n, "cscal"); !err.empty())
+    return {false, err};
   return check<T>(*d.mem, d.yAddr, n, want, "y");
 }
 
 template <typename T>
 ComplexOutcome testCaxpyT(const ir::Function& fn, int64_t n, uint64_t seed) {
-  ComplexData d = makeData<T>(n, seed, /*twoVecs=*/true);
-  std::vector<T> want(static_cast<size_t>(2 * n));
+  ComplexData d = makeData(precOf(fn), n, seed, /*twoVecs=*/true);
+  const std::vector<T> x = readVector<T>(*d.mem, d.xAddr, 2 * n);
+  const std::vector<T> y = readVector<T>(*d.mem, d.yAddr, 2 * n);
+  std::vector<T> want(y.size());
   T ar = static_cast<T>(d.ar), ai = static_cast<T>(d.ai);
-  for (int64_t i = 0; i < n; ++i) {
-    T xr = d.mem->read<T>(d.xAddr + static_cast<uint64_t>(2 * i) * sizeof(T));
-    T xi = d.mem->read<T>(d.xAddr + static_cast<uint64_t>(2 * i + 1) * sizeof(T));
-    T yr = d.mem->read<T>(d.yAddr + static_cast<uint64_t>(2 * i) * sizeof(T));
-    T yi = d.mem->read<T>(d.yAddr + static_cast<uint64_t>(2 * i + 1) * sizeof(T));
-    want[static_cast<size_t>(2 * i)] = yr + (ar * xr - ai * xi);
-    want[static_cast<size_t>(2 * i + 1)] = yi + (ar * xi + ai * xr);
+  for (size_t i = 0; i < want.size(); i += 2) {
+    want[i] = y[i] + (ar * x[i] - ai * x[i + 1]);
+    want[i + 1] = y[i + 1] + (ar * x[i + 1] + ai * x[i]);
   }
-  try {
-    sim::runDecoded(sim::decodeFunction(fn), *d.mem, buildArgs(fn, d, n));
-  } catch (const std::exception& e) {
-    return {false, std::string("caxpy faulted: ") + e.what()};
-  }
+  if (std::string err = runComplex(fn, d, n, "caxpy"); !err.empty())
+    return {false, err};
   return check<T>(*d.mem, d.yAddr, n, want, "y");
 }
 
 }  // namespace
 
-std::string cscalSource(ir::Scal prec) {
-  return replaceAll(std::string(kCscal), "@T",
-                    prec == ir::Scal::F32 ? "float" : "double");
-}
-
-std::string caxpySource(ir::Scal prec) {
-  return replaceAll(std::string(kCaxpy), "@T",
-                    prec == ir::Scal::F32 ? "float" : "double");
-}
+std::string cscalSource(ir::Scal prec) { return instantiateHil(kCscal, prec); }
+std::string caxpySource(ir::Scal prec) { return instantiateHil(kCaxpy, prec); }
 
 ComplexOutcome testCscal(const ir::Function& fn, int64_t n, uint64_t seed) {
   return precOf(fn) == ir::Scal::F32 ? testCscalT<float>(fn, n, seed)

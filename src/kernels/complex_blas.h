@@ -15,6 +15,7 @@
 
 #include "ir/function.h"
 #include "ir/type.h"
+#include "kernels/tester.h"
 
 namespace ifko::kernels {
 
@@ -23,10 +24,7 @@ namespace ifko::kernels {
 /// y[i] += (ar + ai*i) * x[i], n complex elements.
 [[nodiscard]] std::string caxpySource(ir::Scal prec);
 
-struct ComplexOutcome {
-  bool ok = true;
-  std::string message;
-};
+using ComplexOutcome = TestOutcome;
 
 /// Checks a compiled cscal/caxpy against a host-side complex reference on
 /// n complex elements.

@@ -1,14 +1,10 @@
 #include "kernels/level2.h"
 
-#include <cmath>
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
 #include "sim/decode.h"
-#include "sim/memsys.h"
-#include "sim/timing.h"
-#include "support/rng.h"
-#include "support/str.h"
 
 namespace ifko::kernels {
 
@@ -66,17 +62,6 @@ LOOP_END
 END
 )";
 
-std::string instantiate(std::string_view src, ir::Scal prec) {
-  return replaceAll(std::string(src), "@T",
-                    prec == ir::Scal::F32 ? "float" : "double");
-}
-
-ir::Scal precOf(const ir::Function& fn) {
-  for (const auto& p : fn.params)
-    if (p.isPointer()) return p.elemType();
-  return ir::Scal::F64;
-}
-
 /// Operand layout for an MxN problem: A (m*n), x, y, scalars, M, N.
 struct L2Data {
   std::unique_ptr<sim::Memory> mem;
@@ -100,19 +85,17 @@ struct L2Data {
   }
 };
 
-template <typename T>
-L2Data makeL2Data(int64_t m, int64_t n, uint64_t seed) {
+L2Data makeL2Data(ir::Scal prec, int64_t m, int64_t n, uint64_t seed) {
+  const size_t esize = scalBytes(prec);
   L2Data d;
-  size_t bytes = static_cast<size_t>(m) * static_cast<size_t>(n) * sizeof(T) +
-                 static_cast<size_t>(m + n) * sizeof(T) + (1 << 21);
+  size_t bytes = static_cast<size_t>(m) * static_cast<size_t>(n) * esize +
+                 static_cast<size_t>(m + n) * esize + (1 << 21);
   d.mem = std::make_unique<sim::Memory>(bytes);
   SplitMix64 rng(seed);
   auto fill = [&](int64_t count) {
     uint64_t addr = d.mem->allocate(
-        std::max<size_t>(static_cast<size_t>(count) * sizeof(T), 64), 64);
-    for (int64_t i = 0; i < count; ++i)
-      d.mem->write<T>(addr + static_cast<uint64_t>(i) * sizeof(T),
-                      static_cast<T>(rng.uniform(-1.0, 1.0)));
+        std::max<size_t>(static_cast<size_t>(count) * esize, 64), 64);
+    fillUniform(*d.mem, addr, count, prec, rng);
     return addr;
   };
   d.aAddr = fill(m * n);
@@ -122,35 +105,24 @@ L2Data makeL2Data(int64_t m, int64_t n, uint64_t seed) {
 }
 
 template <typename T>
-std::vector<T> readVec(const sim::Memory& mem, uint64_t addr, int64_t count) {
-  std::vector<T> out(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i)
-    out[static_cast<size_t>(i)] =
-        mem.read<T>(addr + static_cast<uint64_t>(i) * sizeof(T));
-  return out;
-}
-
-template <typename T>
 L2Outcome testGemvT(const ir::Function& fn, int64_t m, int64_t n,
                     uint64_t seed) {
-  L2Data d = makeL2Data<T>(m, n, seed);
-  auto A = readVec<T>(*d.mem, d.aAddr, m * n);
-  auto x = readVec<T>(*d.mem, d.xAddr, n);
+  const ir::Scal prec = precOf(fn);
+  L2Data d = makeL2Data(prec, m, n, seed);
+  auto A = readVector<T>(*d.mem, d.aAddr, m * n);
+  auto x = readVector<T>(*d.mem, d.xAddr, n);
 
-  try {
-    sim::runDecoded(sim::decodeFunction(fn), *d.mem, d.args(fn, m, n));
-  } catch (const std::exception& e) {
-    return {false, std::string("gemv faulted: ") + e.what()};
-  }
+  if (std::string err = runUntimed(sim::decodeFunction(fn), *d.mem,
+                                   d.args(fn, m, n), "gemv");
+      !err.empty())
+    return {false, err};
 
   for (int64_t r = 0; r < m; ++r) {
     T want = 0;
     for (int64_t c = 0; c < n; ++c)
       want += A[static_cast<size_t>(r * n + c)] * x[static_cast<size_t>(c)];
     T got = d.mem->read<T>(d.yAddr + static_cast<uint64_t>(r) * sizeof(T));
-    double tol = sizeof(T) == 4 ? 5e-3 : 1e-8;
-    if (std::fabs(static_cast<double>(got - want)) >
-        tol * std::max(1.0, std::fabs(static_cast<double>(want)))) {
+    if (!withinTolerance(got, want, prec)) {
       std::ostringstream os;
       os << "gemv: y[" << r << "] = " << got << ", expected " << want;
       return {false, os.str()};
@@ -162,17 +134,16 @@ L2Outcome testGemvT(const ir::Function& fn, int64_t m, int64_t n,
 template <typename T>
 L2Outcome testGerT(const ir::Function& fn, int64_t m, int64_t n,
                    uint64_t seed) {
-  L2Data d = makeL2Data<T>(m, n, seed);
-  auto A = readVec<T>(*d.mem, d.aAddr, m * n);
-  auto x = readVec<T>(*d.mem, d.xAddr, m);
-  auto y = readVec<T>(*d.mem, d.yAddr, n);
+  L2Data d = makeL2Data(precOf(fn), m, n, seed);
+  auto A = readVector<T>(*d.mem, d.aAddr, m * n);
+  auto x = readVector<T>(*d.mem, d.xAddr, m);
+  auto y = readVector<T>(*d.mem, d.yAddr, n);
   T alpha = static_cast<T>(d.alpha);
 
-  try {
-    sim::runDecoded(sim::decodeFunction(fn), *d.mem, d.args(fn, m, n));
-  } catch (const std::exception& e) {
-    return {false, std::string("ger faulted: ") + e.what()};
-  }
+  if (std::string err = runUntimed(sim::decodeFunction(fn), *d.mem,
+                                   d.args(fn, m, n), "ger");
+      !err.empty())
+    return {false, err};
 
   for (int64_t r = 0; r < m; ++r) {
     // Same arithmetic shape as the kernel: ax = alpha*x[r]; a += ax*y[c].
@@ -194,8 +165,8 @@ L2Outcome testGerT(const ir::Function& fn, int64_t m, int64_t n,
 
 }  // namespace
 
-std::string gemvSource(ir::Scal prec) { return instantiate(kGemv, prec); }
-std::string gerSource(ir::Scal prec) { return instantiate(kGer, prec); }
+std::string gemvSource(ir::Scal prec) { return instantiateHil(kGemv, prec); }
+std::string gerSource(ir::Scal prec) { return instantiateHil(kGer, prec); }
 
 L2Outcome testGemv(const ir::Function& fn, int64_t m, int64_t n,
                    uint64_t seed) {
@@ -212,25 +183,17 @@ L2Outcome testGer(const ir::Function& fn, int64_t m, int64_t n,
 sim::TimeResult timeGemv(const arch::MachineConfig& machine,
                          const ir::Function& fn, int64_t m, int64_t n,
                          sim::TimeContext ctx, uint64_t seed) {
-  L2Data d = precOf(fn) == ir::Scal::F32 ? makeL2Data<float>(m, n, seed)
-                                         : makeL2Data<double>(m, n, seed);
-  const size_t esize = scalBytes(precOf(fn));
-  sim::MemSystem mem(machine);
-  if (ctx == sim::TimeContext::InL2) {
-    mem.warm(d.aAddr, static_cast<uint64_t>(m * n) * esize);
-    mem.warm(d.xAddr, static_cast<uint64_t>(std::max(m, n)) * esize);
-    mem.warm(d.yAddr, static_cast<uint64_t>(std::max(m, n)) * esize);
-  }
-  sim::TimingModel timing(machine, mem);
-  auto run = sim::runDecoded(sim::decodeFunction(fn, machine), *d.mem,
-                             d.args(fn, m, n), &timing);
-
-  sim::TimeResult out;
-  out.cycles = timing.cycles();
-  out.dynInsts = run.dynInsts;
-  out.mem = mem.stats();
-  out.core = timing.stats();
-  return out;
+  const ir::Scal prec = precOf(fn);
+  L2Data d = makeL2Data(prec, m, n, seed);
+  const uint64_t esize = scalBytes(prec);
+  const uint64_t vecBytes = static_cast<uint64_t>(std::max(m, n)) * esize;
+  std::vector<sim::WarmSpan> warm;
+  if (ctx == sim::TimeContext::InL2)
+    warm = {{d.aAddr, static_cast<uint64_t>(m * n) * esize},
+            {d.xAddr, vecBytes},
+            {d.yAddr, vecBytes}};
+  return sim::timeRun(machine, sim::decodeFunction(fn, machine), *d.mem,
+                      d.args(fn, m, n), warm);
 }
 
 }  // namespace ifko::kernels

@@ -12,6 +12,7 @@
 #include "arch/machine.h"
 #include "ir/function.h"
 #include "ir/type.h"
+#include "kernels/tester.h"
 #include "sim/timer.h"
 
 namespace ifko::kernels {
@@ -21,10 +22,7 @@ namespace ifko::kernels {
 /// HIL source for A += alpha * x * y^T (row-major, inner loop over columns).
 [[nodiscard]] std::string gerSource(ir::Scal prec);
 
-struct L2Outcome {
-  bool ok = true;
-  std::string message;
-};
+using L2Outcome = TestOutcome;
 
 /// Runs the compiled gemv/ger against a host-side reference on an MxN
 /// problem with reproducible data.

@@ -236,9 +236,13 @@ char KernelSpec::retClass() const {
   }
 }
 
-std::string KernelSpec::hilSource() const {
-  return replaceAll(std::string(rawSource(op)), "@T",
+std::string instantiateHil(std::string_view src, ir::Scal prec) {
+  return replaceAll(std::string(src), "@T",
                     prec == ir::Scal::F32 ? "float" : "double");
+}
+
+std::string KernelSpec::hilSource() const {
+  return instantiateHil(rawSource(op), prec);
 }
 
 const std::vector<KernelSpec>& allKernels() {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/type.h"
@@ -34,6 +35,10 @@ struct KernelSpec {
 };
 
 [[nodiscard]] std::string_view opName(BlasOp op);
+
+/// Substitutes the element type for `@T` in a precision-generic HIL source:
+/// how every in-code kernel (Level 1, gemv/ger, complex) gets its s/d form.
+[[nodiscard]] std::string instantiateHil(std::string_view src, ir::Scal prec);
 
 /// The paper's 14 surveyed kernels in its presentation order:
 /// swap, copy, asum, axpy, dot, scal, iamax — s then d within each.

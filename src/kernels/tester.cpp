@@ -1,10 +1,10 @@
 #include "kernels/tester.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "kernels/reference.h"
-#include "support/rng.h"
 
 namespace ifko::kernels {
 
@@ -28,23 +28,43 @@ std::vector<sim::ArgValue> KernelData::args(
   return out;
 }
 
+void fillUniform(sim::Memory& mem, uint64_t addr, int64_t count,
+                 ir::Scal prec, SplitMix64& rng) {
+  for (int64_t i = 0; i < count; ++i) {
+    const double v = rng.uniform(-1.0, 1.0);
+    if (prec == ir::Scal::F32)
+      mem.write<float>(addr + static_cast<uint64_t>(i) * 4,
+                       static_cast<float>(v));
+    else
+      mem.write<double>(addr + static_cast<uint64_t>(i) * 8, v);
+  }
+}
+
+ir::Scal precOf(const ir::Function& fn) {
+  for (const auto& p : fn.params)
+    if (p.isPointer()) return p.elemType();
+  return ir::Scal::F64;
+}
+
+std::string runUntimed(const sim::DecodedFunction& fn, sim::Memory& mem,
+                       std::span<const sim::ArgValue> args,
+                       std::string_view what, sim::RunResult* result) {
+  try {
+    sim::RunResult run = sim::runDecoded(fn, mem, args);
+    if (result != nullptr) *result = run;
+  } catch (const std::exception& e) {
+    return std::string(what) + " faulted: " + e.what();
+  }
+  return {};
+}
+
+bool withinTolerance(double got, double want, ir::Scal prec) {
+  const double tol = prec == ir::Scal::F32 ? 5e-3 : 1e-8;
+  // Negated "outside the tolerance": a NaN difference passes.
+  return !(std::fabs(got - want) > tol * std::max(1.0, std::fabs(want)));
+}
+
 namespace {
-
-template <typename T>
-void fillVector(sim::Memory& mem, uint64_t addr, int64_t n, SplitMix64& rng) {
-  for (int64_t i = 0; i < n; ++i)
-    mem.write<T>(addr + static_cast<uint64_t>(i) * sizeof(T),
-                 static_cast<T>(rng.uniform(-1.0, 1.0)));
-}
-
-template <typename T>
-std::vector<T> readVector(const sim::Memory& mem, uint64_t addr, int64_t n) {
-  std::vector<T> out(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i)
-    out[static_cast<size_t>(i)] =
-        mem.read<T>(addr + static_cast<uint64_t>(i) * sizeof(T));
-  return out;
-}
 
 template <typename T>
 TestOutcome testKernelT(const KernelSpec& spec, const sim::DecodedFunction& fn,
@@ -72,11 +92,10 @@ TestOutcome testKernelT(const KernelSpec& spec, const sim::DecodedFunction& fn,
   }
 
   sim::RunResult run;
-  try {
-    run = sim::runDecoded(fn, *data.mem, data.args(fn.params));
-  } catch (const std::exception& e) {
-    return {false, std::string("kernel faulted: ") + e.what()};
-  }
+  if (std::string err =
+          runUntimed(fn, *data.mem, data.args(fn.params), "kernel", &run);
+      !err.empty())
+    return {false, err};
 
   auto fail = [&](const std::string& msg) { return TestOutcome{false, msg}; };
 
@@ -111,9 +130,7 @@ TestOutcome testKernelT(const KernelSpec& spec, const sim::DecodedFunction& fn,
     case BlasOp::Asum: {
       if (!run.fpResult) return fail(spec.name() + ": missing fp result");
       double got = *run.fpResult;
-      double tol = spec.prec == ir::Scal::F32 ? 5e-3 : 1e-8;
-      double scale = std::max(1.0, std::fabs(refFp));
-      if (std::fabs(got - refFp) > tol * scale) {
+      if (!withinTolerance(got, refFp, spec.prec)) {
         std::ostringstream os;
         os << spec.name() << ": result " << got << ", expected " << refFp;
         return fail(os.str());
@@ -152,18 +169,12 @@ KernelData makeKernelData(const KernelSpec& spec, int64_t n, uint64_t seed,
   data.n = n;
   SplitMix64 rng(seed);
   data.xAddr = data.mem->allocate(std::max<size_t>(vecBytes, 64), 64);
-  if (spec.prec == ir::Scal::F32)
-    fillVector<float>(*data.mem, data.xAddr, n, rng);
-  else
-    fillVector<double>(*data.mem, data.xAddr, n, rng);
+  fillUniform(*data.mem, data.xAddr, n, spec.prec, rng);
   if (spec.numVecs() == 2) {
     // A 192-byte gap keeps X and Y from sharing a cache line while still
     // letting them conflict in the cache like real consecutive mallocs.
     data.yAddr = data.mem->allocate(std::max<size_t>(vecBytes, 64) + 192, 64) + 192;
-    if (spec.prec == ir::Scal::F32)
-      fillVector<float>(*data.mem, data.yAddr, n, rng);
-    else
-      fillVector<double>(*data.mem, data.yAddr, n, rng);
+    fillUniform(*data.mem, data.yAddr, n, spec.prec, rng);
   }
   return data;
 }

@@ -2,19 +2,58 @@
 // data in the simulated machine's memory and checks the result against the
 // reference implementation ("unnecessary in theory, but useful in
 // practice").  Also provides the operand-placement helper shared with the
-// timer.
+// timer, and the pieces every tester (Level 1, Level 2, complex, the
+// differential harness) shares: one operand fill, one read-back, one
+// guarded untimed run and one comparison rule.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/function.h"
 #include "kernels/registry.h"
 #include "sim/decode.h"
 #include "sim/memory.h"
+#include "support/rng.h"
 
 namespace ifko::kernels {
+
+/// Writes `count` elements of precision `prec` at `addr`, each a
+/// uniform(-1, 1) draw from `rng` cast to the element type, in order.
+void fillUniform(sim::Memory& mem, uint64_t addr, int64_t count,
+                 ir::Scal prec, SplitMix64& rng);
+
+/// Reads `count` elements of T starting at `addr`.
+template <typename T>
+[[nodiscard]] std::vector<T> readVector(const sim::Memory& mem, uint64_t addr,
+                                        int64_t count) {
+  std::vector<T> out(static_cast<size_t>(count));
+  for (int64_t i = 0; i < count; ++i)
+    out[static_cast<size_t>(i)] =
+        mem.read<T>(addr + static_cast<uint64_t>(i) * sizeof(T));
+  return out;
+}
+
+/// The element type of `fn`'s first vector parameter (F64 if it has none).
+[[nodiscard]] ir::Scal precOf(const ir::Function& fn);
+
+/// Runs `fn` untimed on `mem`.  Returns "" on success; a simulator fault
+/// becomes "<what> faulted: <reason>".  `result`, when non-null, receives
+/// the run's result.
+[[nodiscard]] std::string runUntimed(const sim::DecodedFunction& fn,
+                                     sim::Memory& mem,
+                                     std::span<const sim::ArgValue> args,
+                                     std::string_view what,
+                                     sim::RunResult* result = nullptr);
+
+/// The comparison rule for a value that reassociated arithmetic may
+/// perturb (reductions, gemv's row sums): `got` passes when it is within a
+/// relative tolerance of 5e-3 (F32) or 1e-8 (F64) of `want`, scaled by
+/// max(1, |want|).
+[[nodiscard]] bool withinTolerance(double got, double want, ir::Scal prec);
 
 /// Kernel operands placed in a simulated memory image.
 struct KernelData {

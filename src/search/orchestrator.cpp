@@ -148,6 +148,11 @@ class OrchestratedEvaluator {
   /// Real (non-memoized) compile+test+time evaluations performed so far.
   [[nodiscard]] int evaluationsRun() const { return evaluationsRun_; }
 
+  /// The kernel's analysis, made once by its EvalPipeline.
+  [[nodiscard]] const fko::AnalysisReport& analysis() const {
+    return pipeline_->analysis();
+  }
+
   /// Traces a finished dimension with its committed best.
   void onDimensionEnd(const std::string& dimension, uint64_t bestCycles,
                       const opt::TuningParams& best) {
@@ -187,7 +192,7 @@ TuneResult runStrategySearch(const KernelJob& job,
                              SearchStrategy& strategy, const Budget& budget,
                              OrchestratedEvaluator& eval) {
   TuneResult result;
-  result.analysis = fko::analyzeKernel(job.hilSource, machine);
+  result.analysis = eval.analysis();
   if (!result.analysis.ok) {
     result.error = result.analysis.error;
     return result;

@@ -27,26 +27,33 @@ TimeResult timeKernel(const arch::MachineConfig& machine,
                       const kernels::KernelData* tmpl) {
   kernels::KernelData data =
       tmpl != nullptr ? tmpl->clone() : kernels::makeKernelData(spec, n, seed);
-  MemSystem mem(machine);
+  std::vector<WarmSpan> warm;
   if (ctx == TimeContext::InL2) {
     const uint64_t bytes =
         static_cast<uint64_t>(n) * scalBytes(spec.prec);
-    mem.warm(data.xAddr, bytes);
-    if (data.yAddr != 0) mem.warm(data.yAddr, bytes);
+    warm.push_back({data.xAddr, bytes});
+    if (data.yAddr != 0) warm.push_back({data.yAddr, bytes});
   }
-  // Warming displaces lines and would otherwise leak eviction counts into
-  // the timed run's stats; the timed region starts from a clean slate.
-  mem.resetStats();
   // Truncated runs keep the full-size operands and shorten only the loop
   // trip count: the timed region is an exact prefix of the full run.
   if (loopN > 0) data.n = loopN;
-  TimingModel timing(machine, mem);
-  RunResult run = runDecoded(dfn, *data.mem, data.args(dfn.params), &timing);
+  return timeRun(machine, dfn, *data.mem, data.args(dfn.params), warm);
+}
+
+TimeResult timeRun(const arch::MachineConfig& machine,
+                   const DecodedFunction& dfn, Memory& mem,
+                   std::span<const ArgValue> args,
+                   std::span<const WarmSpan> warm) {
+  MemSystem memsys(machine);
+  for (const WarmSpan& span : warm) memsys.warm(span.addr, span.bytes);
+  memsys.resetStats();
+  TimingModel timing(machine, memsys);
+  RunResult run = runDecoded(dfn, mem, args, &timing);
 
   TimeResult out;
   out.cycles = timing.cycles();
   out.dynInsts = run.dynInsts;
-  out.mem = mem.stats();
+  out.mem = memsys.stats();
   out.core = timing.stats();
   out.attr = timing.attribution();
   return out;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "arch/machine.h"
@@ -39,6 +40,23 @@ struct TimeResult {
     return flops * ghz * 1000.0 / static_cast<double>(cycles);
   }
 };
+
+/// One range of operand memory that an in-L2 run pre-loads into the caches.
+struct WarmSpan {
+  uint64_t addr = 0;
+  uint64_t bytes = 0;
+};
+
+/// The timed run behind every kernel timer: builds `machine`'s memory
+/// system, warms `warm` in order, resets the memory counters (warming
+/// displaces lines, and its evictions must not reach the timed run's
+/// stats), then runs `dfn` (decoded for `machine`) on `mem` with `args`
+/// under a TimingModel and reports every TimeResult field, `attr` included.
+/// The timers differ only in the operands they lay out in `mem`.
+[[nodiscard]] TimeResult timeRun(const arch::MachineConfig& machine,
+                                 const DecodedFunction& dfn, Memory& mem,
+                                 std::span<const ArgValue> args,
+                                 std::span<const WarmSpan> warm = {});
 
 /// Times `fn` (a compiled kernel for `spec`) at length `n`: decodes it for
 /// `machine`, then runs the DecodedFunction overload below.

@@ -18,6 +18,7 @@
 
 #include "arch/machine.h"
 #include "fko/compiler.h"
+#include "kernels/level2.h"
 #include "kernels/registry.h"
 #include "search/evalcache.h"
 #include "search/orchestrator.h"
@@ -61,6 +62,22 @@ TEST(Attribution, IdentityHoldsForEveryRegistryKernelInBothContexts) {
         EXPECT_EQ(t.attr.total(), t.cycles)
             << spec.name() << " on " << m.name << " in "
             << std::string(sim::contextName(ctx));
+      }
+    }
+    // gemv and ger lay out their operands for their own timer, timeGemv.
+    for (ir::Scal prec : {ir::Scal::F32, ir::Scal::F64}) {
+      for (const std::string& src :
+           {kernels::gemvSource(prec), kernels::gerSource(prec)}) {
+        auto r = fko::compileKernel(src, fko::CompileOptions{}, m);
+        ASSERT_TRUE(r.ok) << r.error;
+        for (sim::TimeContext ctx :
+             {sim::TimeContext::OutOfCache, sim::TimeContext::InL2}) {
+          auto t = kernels::timeGemv(m, r.fn, 16, 512, ctx);
+          EXPECT_GT(t.cycles, 0u);
+          EXPECT_EQ(t.attr.total(), t.cycles)
+              << r.fn.name << " on " << m.name << " in "
+              << std::string(sim::contextName(ctx));
+        }
       }
     }
   }
@@ -185,6 +202,25 @@ TEST(Attribution, MemStatsDoNotBleedAcrossContexts) {
   EXPECT_EQ(inAlone.mem.loadMissMem, 0u);
   EXPECT_EQ(inAlone.mem.busBytes, 0u);
   EXPECT_GT(ooc1.mem.loadMissMem, 0u);
+}
+
+TEST(Attribution, Level2WarmUpStaysOutOfTheTimedStats) {
+  // dgemv 64x512 in-L2 on P4E: A (256KB) fits the L2 but not the 16KB L1,
+  // so warming it displaces thousands of L1 lines.  The timed pass can
+  // displace a line from the L1 only by filling one there (a load or store
+  // that misses it, a software prefetch; the hardware prefetcher fills the
+  // L2), so more evictions than fills mean the warm-up leaked into the
+  // stats.
+  auto r = fko::compileKernel(kernels::gemvSource(ir::Scal::F64),
+                              fko::CompileOptions{}, arch::p4e());
+  ASSERT_TRUE(r.ok) << r.error;
+  auto t = kernels::timeGemv(arch::p4e(), r.fn, 64, 512,
+                             sim::TimeContext::InL2);
+  const uint64_t l1Fills = t.mem.loadMissL1 +
+                           (t.mem.stores - t.mem.storeHitL1) +
+                           t.mem.prefIssued;
+  EXPECT_GT(t.mem.evictL1, 0u);
+  EXPECT_LE(t.mem.evictL1, l1Fills);
 }
 
 // --- repeatable-block convergence reporting ---------------------------------
