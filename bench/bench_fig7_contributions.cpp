@@ -13,7 +13,6 @@
 
 #include "fko/compiler.h"
 #include "harness.h"
-#include "search/evalpipeline.h"
 #include "search/linesearch.h"
 
 int main() {
@@ -43,18 +42,18 @@ int main() {
                "total x", "fp% F>i", "mem% F>i"});
 
   // "62.1>41.0": the cause's share of all cycles, FKO defaults vs winner.
-  auto shareCell = [](const search::EvalOutcome& def,
-                      const search::EvalOutcome& best,
+  auto shareCell = [](const search::TuneResult& r,
                       auto&& causeCycles) -> std::string {
-    if (!def.counters.has_value() || !best.counters.has_value()) return "-";
+    if (!r.defaultCounters.has_value() || !r.bestCounters.has_value())
+      return "-";
     auto pct = [&](const search::EvalCounters& c) {
       uint64_t total = c.attr.total();
       return total == 0 ? 0.0
                         : 100.0 * static_cast<double>(causeCycles(c.attr)) /
                               static_cast<double>(total);
     };
-    return fmtFixed(pct(*def.counters), 1) + ">" +
-           fmtFixed(pct(*best.counters), 1);
+    return fmtFixed(pct(*r.defaultCounters), 1) + ">" +
+           fmtFixed(pct(*r.bestCounters), 1);
   };
   for (const auto& c : contexts) {
     for (const auto& spec : kernels::allKernels()) {
@@ -81,13 +80,10 @@ int main() {
       }
       double sp = r.speedupOverDefaults();
       cells.push_back(fmtFixed(sp, 2));
-      search::EvalPipeline pipe(spec.hilSource(), &spec, c.machine, cfg);
-      auto def = search::evaluateCandidate(pipe.request(r.defaults));
-      auto best = search::evaluateCandidate(pipe.request(r.best));
-      cells.push_back(shareCell(def, best, [](const sim::Attribution& a) {
+      cells.push_back(shareCell(r, [](const sim::Attribution& a) {
         return a.of(sim::StallCause::FpDep);
       }));
-      cells.push_back(shareCell(def, best, [](const sim::Attribution& a) {
+      cells.push_back(shareCell(r, [](const sim::Attribution& a) {
         return a.memoryStalls();
       }));
       totalSpeedup += sp;

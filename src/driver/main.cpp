@@ -18,7 +18,6 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
-#include "search/evalpipeline.h"
 #include "search/orchestrator.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -257,8 +256,7 @@ int cmdTune(const std::string& path, const std::string& src, const Options& o) {
   if (!o.wisdomPath.empty()) {
     const bool adopted = wis.record(wisdom::harvestRecord(
         wkey, job.name,
-        "tune/" + std::string(search::strategyName(oc.strategy)), r, oc.search,
-        &orch.cache()));
+        "tune/" + std::string(search::strategyName(oc.strategy)), r));
     std::string werr;
     if (!wis.save(o.wisdomPath, &werr)) {
       std::fprintf(stderr, "tune: wisdom save failed: %s\n", werr.c_str());
@@ -295,41 +293,26 @@ int cmdExplain(const std::string& path, const std::string& src,
     return 1;
   }
 
-  // Re-evaluate the two endpoints directly: TuneResult keeps cycles, not
-  // counters, and two evaluations are cheap next to the search itself.
-  // One pipeline lowers the source once and keeps the winner's compiled
-  // artifact for the pass-delta display below — no re-lowering, no second
-  // compile of the same candidate.
-  search::SearchConfig cfg = searchConfig(o);
-  search::EvalPipeline pipe(src, nullptr, o.machine, cfg);
-  if (!pipe.lowered().ok) {
-    std::fprintf(stderr, "lowering failed: %s\n",
-                 pipe.lowered().error.c_str());
+  // The search kept both endpoints' counters (evaluated or replayed from
+  // the cache), so the attribution below needs no second evaluation.
+  if (!r.defaultCounters.has_value() || !r.bestCounters.has_value()) {
+    std::fprintf(stderr, "explain: the search kept no counters for an "
+                         "endpoint\n");
     return 1;
   }
-  auto def = search::evaluateCandidate(pipe.request(r.defaults));
-  auto best = search::evaluateCandidate(pipe.request(r.best));
-  if (!def.counters.has_value() || !best.counters.has_value()) {
-    std::fprintf(stderr, "explain: endpoint re-evaluation failed (%s / %s)\n",
-                 std::string(search::evalStatusName(def.status)).c_str(),
-                 std::string(search::evalStatusName(best.status)).c_str());
-    return 1;
-  }
-  const search::EvalCounters& dc = *def.counters;
-  const search::EvalCounters& bc = *best.counters;
+  const search::EvalCounters& dc = *r.defaultCounters;
+  const search::EvalCounters& bc = *r.bestCounters;
 
   std::printf("%s on %s, N=%lld, %s\n", pathStem(path).c_str(),
               o.machine.name.c_str(), static_cast<long long>(o.n),
               std::string(sim::contextName(o.context)).c_str());
   std::printf("defaults: %-40s %10llu cycles\n",
               opt::formatTuningSpec(r.defaults).c_str(),
-              static_cast<unsigned long long>(def.cycles));
+              static_cast<unsigned long long>(r.defaultCycles));
   std::printf("winner:   %-40s %10llu cycles (%.2fx)\n",
               opt::formatTuningSpec(r.best).c_str(),
-              static_cast<unsigned long long>(best.cycles),
-              best.cycles == 0 ? 0.0
-                               : static_cast<double>(def.cycles) /
-                                     static_cast<double>(best.cycles));
+              static_cast<unsigned long long>(r.bestCycles),
+              r.speedupOverDefaults());
 
   // Per-cause attribution, defaults vs winner.  Shares are of each run's own
   // total, which equals its cycle count exactly (the accounting identity).
@@ -387,9 +370,11 @@ int cmdExplain(const std::string& path, const std::string& src,
   memLine("winner", bc);
 
   // Compile observability for the winning parameters: the per-pass deltas of
-  // the fundamental + repeatable pipeline.  The pipeline memo already holds
-  // the winner's artifact from the endpoint re-evaluation above.
-  const fko::CompileResult& compiled = pipe.compile(r.best)->compiled;
+  // the fundamental + repeatable pipeline, from one compile of the winner.
+  fko::CompileOptions copts;
+  copts.tuning = r.best;
+  const fko::CompileResult compiled =
+      fko::compileKernel(src, copts, o.machine);
   if (compiled.ok) {
     std::printf("\ncompile (winner): %zu IR instructions, %d spill slots, "
                 "%d repeatable iteration(s)%s\n",
@@ -480,7 +465,7 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
     if (wis.record(wisdom::harvestRecord(
             wkeyByName.at(k.name), k.name,
             "tune-all/" + std::string(search::strategyName(oc.strategy)),
-            k.result, oc.search, &orch.cache())))
+            k.result)))
       ++adopted;
     std::string werr;
     if (!wis.save(o.wisdomPath, &werr))

@@ -60,7 +60,10 @@ std::string runUntimed(const sim::DecodedFunction& fn, sim::Memory& mem,
 
 bool withinTolerance(double got, double want, ir::Scal prec) {
   const double tol = prec == ir::Scal::F32 ? 5e-3 : 1e-8;
-  // Negated "outside the tolerance": a NaN difference passes.
+  // A NaN or infinite result never matches a finite expectation.
+  if (std::isfinite(want) && !std::isfinite(got)) return false;
+  // Negated "outside the tolerance": a NaN difference, possible here only
+  // when `want` is not finite, passes.
   return !(std::fabs(got - want) > tol * std::max(1.0, std::fabs(want)));
 }
 

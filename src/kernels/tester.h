@@ -52,7 +52,7 @@ template <typename T>
 /// The comparison rule for a value that reassociated arithmetic may
 /// perturb (reductions, gemv's row sums): `got` passes when it is within a
 /// relative tolerance of 5e-3 (F32) or 1e-8 (F64) of `want`, scaled by
-/// max(1, |want|).
+/// max(1, |want|).  A non-finite `got` fails against a finite `want`.
 [[nodiscard]] bool withinTolerance(double got, double want, ir::Scal prec);
 
 /// Kernel operands placed in a simulated memory image.

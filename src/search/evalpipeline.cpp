@@ -56,22 +56,19 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::build(
 
 std::shared_ptr<const CompiledCandidate> EvalPipeline::compile(
     const opt::TuningParams& params) {
-  const std::string key = opt::formatTuningSpec(params);
   const bool tryPrefix = hasEnabledPrefetch(params);
   std::string pkey;
   PrefixEntry basis;
-  {
+  if (tryPrefix) {
+    pkey = prefixKey(params);
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      ++stats_.memoHits;
-      return it->second;
-    }
-    if (tryPrefix) {
-      pkey = prefixKey(params);
-      auto pit = prefix_.find(pkey);
-      if (pit != prefix_.end()) basis = pit->second;
-    }
+    auto pit = prefix_.find(pkey);
+    if (pit != prefix_.end()) basis = pit->second;
+  }
+  if (basis.base != nullptr && basis.params == params) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.memoHits;
+    return basis.base;
   }
 
   std::shared_ptr<const CompiledCandidate> cand;
@@ -104,8 +101,6 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::compile(
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = memo_.emplace(key, cand);
-  if (!inserted) return it->second;  // lost a benign race; results identical
   if (patched) {
     ++stats_.prefixPatches;
     // The tester verdict carries over (read under the lock that guards

@@ -3,21 +3,23 @@
 //  * EvalRequest — the single argument all evaluation entry points consume
 //    (evaluateCandidate here, guardedEvaluateCandidate in
 //    search/faultguard.h): a pipeline, a candidate, and an optional fault
-//    injector.
+//    injector with the evaluation index claimed from it.
 //
 //  * EvalPipeline — a per-kernel object owning the front-end products
-//    (lowering, analysis) and two memos shared across candidates:
-//      - a compile memo keyed on the canonical TuningSpec string, holding
-//        the compiled function plus its decoded execution form
-//        (sim/decode.h) so repeated probes of the same point never
-//        recompile or re-decode;
-//      - a prefix memo keyed on the TuningSpec with prefetch distances
-//        canonicalized out (content hash via support/hash.h), so candidates
-//        that differ ONLY in prefetch distances — the largest line-search
-//        dimension — are derived by patching the Pref displacements of a
-//        previously compiled sibling instead of re-running the whole pass
-//        stack.  The patched artifact is byte-identical to a from-scratch
-//        compile (tests/evalpipeline_test.cpp holds this).
+//    (lowering, analysis), the pristine operand templates, the shared
+//    differential-tester reference, and one memo: a prefix memo keyed on
+//    the TuningSpec with prefetch distances canonicalized out (content
+//    hash via support/hash.h), so candidates that differ ONLY in prefetch
+//    distances — the largest line-search dimension — are derived by
+//    patching the Pref displacements of a previously compiled sibling
+//    instead of re-running the whole pass stack.  The patched artifact is
+//    byte-identical to a from-scratch compile (tests/evalpipeline_test.cpp
+//    holds this).
+//
+//    The pipeline does not memoize whole evaluations: the orchestrator's
+//    EvalCache (search/evalcache.h) sits in front of every evaluation and
+//    is the one record of a candidate's result, so the same point is never
+//    handed to the pipeline twice in one search.
 #pragma once
 
 #include <memory>
@@ -41,18 +43,20 @@ class FaultInjector;  // search/faultguard.h
 class EvalPipeline;
 
 /// Everything one candidate evaluation needs: the kernel's pipeline (which
-/// must outlive the call), the candidate, and an optional fault injector
-/// for the guarded path.
+/// must outlive the call), the candidate, and for the guarded path an
+/// optional fault injector with the evaluation index claimed from it
+/// (FaultInjector::nextIndex, on the thread that orders the evaluations).
 struct EvalRequest {
   EvalPipeline* pipeline = nullptr;
   opt::TuningParams params;
-  FaultInjector* injector = nullptr;
+  const FaultInjector* injector = nullptr;
+  uint64_t faultIndex = 0;
 };
 
-/// One compiled candidate held by the pipeline's memos: the compiler output
-/// plus its decoded execution form and a memoized tester verdict (the
-/// tester is a pure function of the compiled code, so a candidate shared by
-/// several requests is verified once).
+/// One compiled candidate: the compiler output plus its decoded execution
+/// form and a memoized tester verdict (the tester is a pure function of the
+/// compiled code, so a prefix-memo base and the siblings patched from it
+/// are verified once).
 struct CompiledCandidate {
   fko::CompileResult compiled;
   sim::DecodedFunction decoded;  ///< populated when compiled.ok && predecode
@@ -62,8 +66,8 @@ struct CompiledCandidate {
 };
 
 /// Per-kernel evaluation state: owns the source text, the front-end products
-/// (lowered once, analyzed once), and the cross-candidate memos.  Thread
-/// safe: worker threads share one pipeline per kernel.
+/// (lowered once, analyzed once), and the cross-candidate prefix memo.
+/// Thread safe: worker threads share one pipeline per kernel.
 class EvalPipeline {
  public:
   /// Lowers and analyzes `hilSource` once.  `machine` and `config` must
@@ -82,15 +86,16 @@ class EvalPipeline {
   /// max over the analysis arrays (sizes generic-timer operands).
   [[nodiscard]] int64_t maxStrideElems() const { return maxStrideElems_; }
 
-  /// Compile (or reuse) the candidate for `params`: compile memo first, then
-  /// prefetch-distance patching of a compiled sibling, then a full compile.
-  /// Never returns null; !result->compiled.ok reports the compile error.
+  /// Compile the candidate for `params`: prefetch-distance patching of a
+  /// compiled sibling when the prefix memo holds one (the sibling itself
+  /// when the distances are equal), else a full compile.  Never returns
+  /// null; !result->compiled.ok reports the compile error.
   [[nodiscard]] std::shared_ptr<const CompiledCandidate> compile(
       const opt::TuningParams& params);
 
   /// A ready-to-evaluate request against this pipeline.
   [[nodiscard]] EvalRequest request(const opt::TuningParams& params) {
-    return {this, params, nullptr};
+    return {this, params, nullptr, 0};
   }
 
   /// Memoized differential/reference tester verdict for a compiled
@@ -116,7 +121,7 @@ class EvalPipeline {
   struct Stats {
     uint64_t fullCompiles = 0;   ///< complete pass-stack runs
     uint64_t prefixPatches = 0;  ///< candidates derived by Pref patching
-    uint64_t memoHits = 0;       ///< compile-memo hits
+    uint64_t memoHits = 0;       ///< prefix-memo hits returning the base
     uint64_t testerRuns = 0;     ///< non-memoized tester executions
     uint64_t referenceBuilds = 0;  ///< differential references built (0/1)
   };
@@ -140,8 +145,6 @@ class EvalPipeline {
   };
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const CompiledCandidate>>
-      memo_;
   std::unordered_map<std::string, PrefixEntry> prefix_;
   std::unique_ptr<kernels::KernelData> dataTmpl_;  ///< built once under mu_
   std::unique_ptr<fko::GenericData> genTmpl_;      ///< built once under mu_
@@ -149,8 +152,8 @@ class EvalPipeline {
   Stats stats_;
 };
 
-/// Compile + test + time one candidate through its pipeline's compile,
-/// decode and tester memos.  A pure function of its request (the simulator
+/// Compile + test + time one candidate through its pipeline's prefix memo
+/// and tester verdicts.  A pure function of its request (the simulator
 /// is deterministic and side-effect-free), so it is safe to call
 /// concurrently from worker threads.
 [[nodiscard]] EvalOutcome evaluateCandidate(const EvalRequest& req);

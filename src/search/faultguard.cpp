@@ -136,7 +136,7 @@ std::optional<EvalOutcome> FaultInjector::fire(uint64_t evalIndex) const {
 
 EvalOutcome guardedEvaluateCandidate(const EvalRequest& req) {
   const SearchConfig& config = req.pipeline->config();
-  FaultInjector* injector = req.injector;
+  const FaultInjector* injector = req.injector;
   try {
     std::optional<sim::ScopedEvalBudget> deadline;
     if (config.evalTimeoutMs > 0) {
@@ -149,7 +149,7 @@ EvalOutcome guardedEvaluateCandidate(const EvalRequest& req) {
       deadline.emplace(cap(kStepsPerTimeoutMs), cap(kCyclesPerTimeoutMs));
     }
     if (injector != nullptr && !injector->empty()) {
-      if (auto forced = injector->fire(injector->nextIndex())) return *forced;
+      if (auto forced = injector->fire(req.faultIndex)) return *forced;
     }
     return evaluateCandidate(req);
   } catch (const sim::TimeoutError&) {

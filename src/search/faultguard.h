@@ -27,7 +27,6 @@
 // any --jobs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -70,8 +69,8 @@ struct FailureCounts {
 };
 
 /// A deterministic schedule of injected evaluation faults.  Evaluations
-/// are numbered 1, 2, ... in the order the guarded path starts them (per
-/// FaultInjector); a rule decides from that index whether to fault.  Spec
+/// are numbered 1, 2, ... in the order their indices are claimed from the
+/// FaultInjector; a rule decides from that index whether to fault.  Spec
 /// grammar (comma-separated rules):
 ///
 ///   kind@N        fault evaluation N
@@ -102,34 +101,36 @@ struct FaultPlan {
 
 [[nodiscard]] std::string_view faultKindName(FaultPlan::Kind kind);
 
-/// Applies a FaultPlan across one run: hands out evaluation indices
-/// (thread-safe, so pool workers share one numbering) and raises the
-/// scheduled faults the way the real ones happen — Crash throws, Hang
-/// burns the thread's sim::ScopedEvalBudget until it expires (or throws
-/// TimeoutError outright when no deadline is armed), TesterFail returns a
-/// forced rejection.
+/// Applies a FaultPlan across one run: hands out evaluation indices and
+/// raises the scheduled faults the way the real ones happen — Crash
+/// throws, Hang burns the thread's sim::ScopedEvalBudget until it expires
+/// (or throws TimeoutError outright when no deadline is armed), TesterFail
+/// returns a forced rejection.  Indices are claimed by one thread, in the
+/// order the evaluations are issued (the orchestrator numbers a batch's
+/// cache misses before dispatching them), so which candidate gets which
+/// fault does not depend on which worker starts first.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
   [[nodiscard]] bool empty() const { return plan_.empty(); }
-  /// Claims the next evaluation index (first call returns 1).
+  /// Claims the next evaluation index (first call returns 1).  Not
+  /// thread-safe: call it from the thread that orders the evaluations.
   [[nodiscard]] uint64_t nextIndex() { return ++count_; }
   /// Raises the fault scheduled for evalIndex, if any: throws for
   /// crash/hang, returns a forced outcome for tester faults, returns
   /// nullopt when no fault is due.
   std::optional<EvalOutcome> fire(uint64_t evalIndex) const;
-  /// Evaluation indices handed out so far.
-  [[nodiscard]] uint64_t evaluationsStarted() const { return count_.load(); }
 
  private:
   FaultPlan plan_;
-  std::atomic<uint64_t> count_{0};
+  uint64_t count_ = 0;
 };
 
 /// evaluateCandidate with containment: deadline and classification.
 /// Never throws — every failure comes back as a structured EvalOutcome.
-/// req.injector (may be null) injects the FaultPlan's scheduled faults.
+/// req.injector (may be null) injects the fault the FaultPlan schedules
+/// for req.faultIndex.
 [[nodiscard]] EvalOutcome guardedEvaluateCandidate(const EvalRequest& req);
 
 /// The deterministic ms -> simulated-work conversion behind evalTimeoutMs:

@@ -51,7 +51,7 @@ struct SearchConfig {
   /// evaluated FKO.
   bool searchExtensions = false;
 
-  /// Decode each compiled candidate once, in the pipeline's compile memo
+  /// Decode each compiled candidate once, when the pipeline compiles it
   /// (sim/decode.h), so its tester and timing runs share the decoded form.
   /// Off, the timed call decodes by itself.  Same cycles either way.
   bool predecode = true;
@@ -138,6 +138,11 @@ struct TuneResult {
   int proposals = 0;
   std::vector<FrontierPoint> frontier;
   fko::AnalysisReport analysis;
+  /// The endpoints' counters, taken from the outcomes the search observed
+  /// (evaluated or replayed from the cache), so no caller re-evaluates an
+  /// endpoint to explain or record it.
+  std::optional<EvalCounters> defaultCounters;
+  std::optional<EvalCounters> bestCounters;
 
   [[nodiscard]] double speedupOverDefaults() const {
     return bestCycles == 0 ? 0.0
@@ -166,7 +171,7 @@ struct EvalOutcome {
   };
   uint64_t cycles = 0;
   Status status = Status::Timed;
-  bool fromCache = false;  ///< replayed from a memo/cache, not re-evaluated
+  bool fromCache = false;  ///< replayed from the cache, not re-evaluated
   /// Observability counters for a timed candidate (attribution, memory,
   /// compile); absent for failures.
   std::optional<EvalCounters> counters;

@@ -35,7 +35,8 @@ struct QuarantineSignal {
 class OrchestratedEvaluator {
  public:
   OrchestratedEvaluator(Orchestrator& orch, const KernelJob& job)
-      : orch_(orch), job_(job), pipeline_(orch.pipelineFor(job)),
+      : orch_(orch), job_(job),
+        pipeline_(job.hilSource, job.spec, orch.machine_, orch.config_.search),
         baseKey_{hashHex(job.hilSource),
                  orch.machine_.name,
                  std::string(sim::contextName(orch.config_.search.context)),
@@ -81,14 +82,22 @@ class OrchestratedEvaluator {
       else copyFrom[i] = it->second;
     }
 
-    FaultInjector* injector =
-        orch_.injector_.empty() ? nullptr : &orch_.injector_;
+    // Fault indices are claimed here, in missIdx order, before dispatch:
+    // which candidate gets which injected fault must not depend on which
+    // worker starts first.
+    std::vector<EvalRequest> reqs;
+    reqs.reserve(missIdx.size());
+    for (size_t i : missIdx) {
+      reqs.push_back(pipeline_.request(batch[i]));
+      if (!orch_.injector_.empty()) {
+        reqs.back().injector = &orch_.injector_;
+        reqs.back().faultIndex = orch_.injector_.nextIndex();
+      }
+    }
     // guardedEvaluateCandidate never throws — workers cannot unwind — but
     // parallelFor would contain and rethrow an exception here regardless.
     auto evalOne = [&](size_t k) {
-      EvalRequest req = pipeline_->request(batch[missIdx[k]]);
-      req.injector = injector;
-      out[missIdx[k]] = guardedEvaluateCandidate(req);
+      out[missIdx[k]] = guardedEvaluateCandidate(reqs[k]);
     };
     if (orch_.pool_ != nullptr) {
       orch_.pool_->parallelFor(missIdx.size(), evalOne);
@@ -150,7 +159,7 @@ class OrchestratedEvaluator {
 
   /// The kernel's analysis, made once by its EvalPipeline.
   [[nodiscard]] const fko::AnalysisReport& analysis() const {
-    return pipeline_->analysis();
+    return pipeline_.analysis();
   }
 
   /// Traces a finished dimension with its committed best.
@@ -174,7 +183,7 @@ class OrchestratedEvaluator {
 
   Orchestrator& orch_;
   const KernelJob& job_;
-  std::shared_ptr<EvalPipeline> pipeline_;
+  EvalPipeline pipeline_;
   EvalKey baseKey_;
   std::string lastDim_;
   std::unordered_set<std::string> seen_;  ///< canonical specs observed
@@ -212,9 +221,11 @@ TuneResult runStrategySearch(const KernelJob& job,
   }
   strategy.observe(defaults, def);
   result.defaultCycles = def.cycles;
+  result.defaultCounters = def.counters;
 
   opt::TuningParams best = defaults;
   uint64_t bestCycles = def.cycles;
+  result.bestCounters = def.counters;
   int proposals = 1;
   uint64_t cyclesSpent = def.cycles;
   result.frontier.push_back({proposals, bestCycles});
@@ -231,6 +242,7 @@ TuneResult runStrategySearch(const KernelJob& job,
     if (warm.usable() && warm.cycles < bestCycles) {
       bestCycles = warm.cycles;
       best = *warmStart;
+      result.bestCounters = warm.counters;
       result.frontier.push_back({proposals, bestCycles});
     }
   }
@@ -276,6 +288,7 @@ TuneResult runStrategySearch(const KernelJob& job,
       if (outcomes[i].cycles != 0 && outcomes[i].cycles < bestCycles) {
         bestCycles = outcomes[i].cycles;
         best = p.candidates[i];
+        result.bestCounters = outcomes[i].counters;
         result.frontier.push_back({proposals, bestCycles});
       }
     }
@@ -343,24 +356,6 @@ Orchestrator::~Orchestrator() {
 void Orchestrator::trace(const std::string& jsonLine) {
   if (trace_ == nullptr) return;
   std::fputs((jsonLine + "\n").c_str(), trace_);
-}
-
-std::shared_ptr<EvalPipeline> Orchestrator::pipelineFor(const KernelJob& job) {
-  if (!config_.keepPipelinesWarm)
-    return std::make_shared<EvalPipeline>(job.hilSource, job.spec, machine_,
-                                          config_.search);
-  // Warm map keyed on content: the same source re-tuned (the daemon's
-  // repeat-TUNE path) lands on hot compile/decode/tester memos.  machine_
-  // and config_.search outlive the map, which EvalPipeline requires.
-  const std::string key = hashHex(job.hilSource);
-  auto it = pipelines_.find(key);
-  if (it == pipelines_.end())
-    it = pipelines_
-             .emplace(key, std::make_shared<EvalPipeline>(
-                               job.hilSource, job.spec, machine_,
-                               config_.search))
-             .first;
-  return it->second;
 }
 
 KernelOutcome Orchestrator::tune(const KernelJob& job) {

@@ -22,6 +22,12 @@
 // hard-failing is quarantined (skipped with a diagnostic) rather than
 // poisoning the rest of the run.
 //
+// Each tune() builds the kernel's EvalPipeline (lowering, analysis, prefix
+// memo) and drops it when the search ends.  The EvalCache is the one record
+// of an evaluation that outlives a search, and the search's own outcomes
+// carry the endpoints' counters (TuneResult::defaultCounters/bestCounters),
+// so nothing downstream re-evaluates or rebuilds a cache key.
+//
 // A kernel's results (winner, cycles, ledger, evaluations = distinct
 // candidates observed, failure tallies) never depend on the cache: a warm
 // rerun reports exactly what the cold run did, so rerunning a killed batch
@@ -52,7 +58,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/machine.h"
@@ -89,12 +94,6 @@ struct OrchestratorConfig {
   int quarantineAfter = 3;
   /// Deterministic fault injection for tests/benchmarks; empty = none.
   FaultPlan faultPlan;
-  /// Keep each kernel's EvalPipeline (lowering, compile/decode/tester
-  /// memos, pristine operand templates) alive across tune() calls, keyed
-  /// by source hash.  One-shot CLI runs leave this off (a pipeline dies
-  /// with its search); the long-lived `ifko serve` daemon turns it on so a
-  /// repeat tune of the same kernel skips straight to hot memos.
-  bool keepPipelinesWarm = false;
 };
 
 /// Warm start: called once, right after the DEFAULTS evaluation, with its
@@ -207,13 +206,6 @@ class Orchestrator {
     return quarantined_;
   }
 
-  /// The kernel's evaluation pipeline: a fresh one per call normally, the
-  /// warm one (created on first use) under config.keepPipelinesWarm.
-  [[nodiscard]] std::shared_ptr<EvalPipeline> pipelineFor(
-      const KernelJob& job);
-  /// Pipelines currently kept warm (0 unless keepPipelinesWarm).
-  [[nodiscard]] size_t warmPipelines() const { return pipelines_.size(); }
-
  private:
   void trace(const std::string& jsonLine);
 
@@ -224,8 +216,6 @@ class Orchestrator {
   std::FILE* trace_ = nullptr;
   FaultInjector injector_;
   std::vector<QuarantineRecord> quarantined_;
-  /// source hash -> warm pipeline (only filled when keepPipelinesWarm).
-  std::unordered_map<std::string, std::shared_ptr<EvalPipeline>> pipelines_;
 
   friend class OrchestratedEvaluator;
 };

@@ -31,10 +31,6 @@ std::string comboKey(const arch::MachineConfig& machine,
 Daemon::Daemon(ServeConfig config, std::string* error)
     : config_(std::move(config)) {
   std::string problems;
-  // The daemon always tunes through warm pipelines: its whole point is that
-  // repeat work hits hot state.
-  config_.orchestrator.keepPipelinesWarm = true;
-
   for (const kernels::KernelSpec& spec : kernels::extendedKernels())
     kernels_[spec.name()] = KernelEntry{spec.hilSource(), &spec};
   if (!config_.kernelsDir.empty()) {
@@ -240,14 +236,11 @@ std::string Daemon::handleKernelVerb(const Request& req) {
     return errorResponse(outcome.quarantined ? "quarantined" : "tune_failed",
                          outcome.result.error);
 
-  search::SearchConfig usedConfig = config_.orchestrator.search;
-  usedConfig.context = context;
-  usedConfig.n = n;
   const wisdom::WisdomRecord rec = wisdom::harvestRecord(
       key, req.target,
       "serve/" +
           std::string(search::strategyName(config_.orchestrator.strategy)),
-      outcome.result, usedConfig, &orch.cache());
+      outcome.result);
 
   if (store_.record(rec)) saveWisdom();
   return respond("tuned", rec.params, rec.bestCycles, rec.defaultCycles,
@@ -293,12 +286,9 @@ std::string Daemon::handleImport(const Request& req) {
 }
 
 std::string Daemon::handleStats() {
-  size_t warmPipelines = 0;
   size_t cacheEntries = 0;
-  for (const auto& [key, orch] : orchestrators_) {
-    warmPipelines += orch->warmPipelines();
+  for (const auto& [key, orch] : orchestrators_)
     cacheEntries += orch->cache().size();
-  }
   JsonWriter w;
   w.field("ok", true)
       .field("requests", stats_.requests)
@@ -310,7 +300,6 @@ std::string Daemon::handleStats() {
       .field("wisdom_records", static_cast<uint64_t>(store_.size()))
       .field("kernels", static_cast<uint64_t>(kernels_.size()))
       .field("orchestrators", static_cast<uint64_t>(orchestrators_.size()))
-      .field("warm_pipelines", static_cast<uint64_t>(warmPipelines))
       .field("eval_cache_entries", static_cast<uint64_t>(cacheEntries));
   return w.str();
 }

@@ -2,14 +2,14 @@
 //
 // One-shot tuning re-lowers, re-searches, and exits; the daemon inverts
 // that posture.  It holds the hot state in memory across requests — the
-// wisdom store (wisdom/wisdom.h), every orchestrator's persistent eval
-// cache, and the per-kernel EvalPipeline memos
-// (OrchestratorConfig::keepPipelinesWarm) — so "give me the tuned kernel"
-// is a wisdom lookup that never touches the evaluator, and a full
-// empirical search runs only on the cache-miss path.  Misses route through
-// the ordinary fault-isolated orchestrator (deadline, quarantine),
-// so a crashing or hanging kernel scores a structured error response and
-// the daemon keeps serving.
+// wisdom store (wisdom/wisdom.h) and every orchestrator's persistent eval
+// cache — so "give me the tuned kernel" is a wisdom lookup that never
+// touches the evaluator, a repeat TUNE replays every candidate from the
+// cache, and a full empirical search runs only on the cache-miss path.
+// A search's EvalPipeline lives only as long as that search.  Misses
+// route through the ordinary fault-isolated orchestrator (deadline,
+// quarantine), so a crashing or hanging kernel scores a structured error
+// response and the daemon keeps serving.
 //
 // The request surface is serve/protocol.h (QUERY/TUNE/EXPLAIN/EXPORT/
 // IMPORT/STATS/SHUTDOWN), carried over a Unix-domain or loopback TCP
@@ -35,8 +35,7 @@ namespace ifko::serve {
 struct ServeConfig {
   /// Template for the tune-on-miss path: search scale (n, context, smoke
   /// grids), jobs, cache/trace paths, strategy, budget, fault policy.  The
-  /// daemon clones it per requested (arch, context, n) combination and
-  /// always keeps pipelines warm.
+  /// daemon clones it per requested (arch, context, n) combination.
   search::OrchestratorConfig orchestrator;
   arch::MachineConfig defaultArch = arch::p4e();  ///< when a request names no arch
   /// Wisdom file: loaded at startup, re-saved after every new record and
@@ -115,7 +114,7 @@ class Daemon {
   [[nodiscard]] std::string errorResponse(const std::string& code,
                                           const std::string& message);
   /// The orchestrator serving one (arch, context, n) combination, created
-  /// on first use and kept hot (cache + pipelines) for the daemon's life.
+  /// on first use and kept (with its cache) for the daemon's life.
   [[nodiscard]] search::Orchestrator& orchestratorFor(
       const arch::MachineConfig& machine, sim::TimeContext context, int64_t n);
   void saveWisdom();

@@ -83,15 +83,15 @@ MemSystem::Line* MemSystem::findL1(uint64_t laddr) {
   // Tags are unique within a level (installLine dedupes), and a tag can only
   // live in its own set, so a tag match IS the line find would return.
   Level& l1 = levels_[0];
-  if (l1.tags[l1_memo_[0]] == laddr) return &l1.lines[l1_memo_[0]];
-  if (l1.tags[l1_memo_[1]] == laddr) {
-    std::swap(l1_memo_[0], l1_memo_[1]);
-    return &l1.lines[l1_memo_[0]];
+  if (l1.tags[l1_mru_[0]] == laddr) return &l1.lines[l1_mru_[0]];
+  if (l1.tags[l1_mru_[1]] == laddr) {
+    std::swap(l1_mru_[0], l1_mru_[1]);
+    return &l1.lines[l1_mru_[0]];
   }
   const size_t slot = l1.findSlot(laddr);
   if (slot == kNoSlot) return nullptr;
-  l1_memo_[1] = l1_memo_[0];
-  l1_memo_[0] = slot;
+  l1_mru_[1] = l1_mru_[0];
+  l1_mru_[0] = slot;
   return &l1.lines[slot];
 }
 

@@ -199,7 +199,7 @@ class MemSystem {
   /// order (min/existence scans only).
   std::vector<std::pair<uint64_t, uint64_t>> inflight_;
   StoreBuffer store_buffer_;
-  size_t l1_memo_[2] = {0, 0};  ///< MRU-first L1 slots; see findL1
+  size_t l1_mru_[2] = {0, 0};  ///< MRU-first L1 slots; see findL1
   /// Line known absent from every level (the last NT-stored line: storeNT
   /// invalidates it and only installLine can bring it back).  Lets the NT
   /// fast path skip the cache walk on streaming NT stores.

@@ -29,9 +29,7 @@ std::optional<WarmStart> findWarmStart(const WisdomStore& store,
 
 WisdomRecord harvestRecord(const WisdomKey& key, const std::string& kernel,
                            const std::string& runId,
-                           const search::TuneResult& result,
-                           const search::SearchConfig& config,
-                           search::EvalCache* cache) {
+                           const search::TuneResult& result) {
   WisdomRecord rec;
   rec.key = key;
   rec.kernel = kernel;
@@ -40,19 +38,7 @@ WisdomRecord harvestRecord(const WisdomKey& key, const std::string& kernel,
   rec.defaultCycles = result.defaultCycles;
   rec.evaluations = result.evaluations;
   rec.runId = runId;
-  if (cache != nullptr) {
-    search::EvalKey winner;
-    winner.sourceHash = key.sourceHash;
-    winner.machine = key.machine;
-    winner.context = key.context;
-    winner.n = config.n;
-    winner.seed = config.seed;
-    winner.testerN = config.testerN;
-    winner.params = rec.params;
-    if (const std::optional<search::EvalRecord> cached = cache->lookup(winner);
-        cached.has_value() && cached->counters.has_value())
-      applyCounters(rec, *cached->counters);
-  }
+  if (result.bestCounters.has_value()) applyCounters(rec, *result.bestCounters);
   return rec;
 }
 

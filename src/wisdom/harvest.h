@@ -6,9 +6,9 @@
 // the nearest record into the search's warm-start point.  After it,
 // harvestRecord turns a search::TuneResult into the same WisdomRecord
 // everywhere: winning spec, both cycle counts, evaluation count,
-// provenance, and the winner's attribution summary fished out of the
-// evaluation cache (the winner was just timed, so its counters are already
-// memoized — no re-simulation).
+// provenance, and the winner's attribution summary from the counters the
+// search kept for it (TuneResult::bestCounters — no re-simulation, no cache
+// lookup).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,6 @@
 
 #include "arch/machine.h"
 #include "opt/params.h"
-#include "search/evalcache.h"
 #include "search/linesearch.h"
 #include "sim/timer.h"
 #include "wisdom/wisdom.h"
@@ -43,15 +42,11 @@ struct WarmStart {
     const WisdomStore& store, const WisdomKey& key,
     const search::EvalOutcome& defaults);
 
-/// Builds the record for a successful tune (`result.ok` assumed).  `config`
-/// must be the SearchConfig the tune actually ran with (its n/seed/testerN
-/// form the winner's cache key); `cache` may be null — the record then just
-/// carries no attribution summary.
+/// Builds the record for a successful tune (`result.ok` assumed).  Without
+/// result.bestCounters the record carries no attribution summary.
 [[nodiscard]] WisdomRecord harvestRecord(const WisdomKey& key,
                                          const std::string& kernel,
                                          const std::string& runId,
-                                         const search::TuneResult& result,
-                                         const search::SearchConfig& config,
-                                         search::EvalCache* cache);
+                                         const search::TuneResult& result);
 
 }  // namespace ifko::wisdom

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -40,6 +41,33 @@ std::vector<std::string> sortedLines(const std::string& path) {
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
   std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+/// Every deterministic line of a `tune-all` log: the table rows and the
+/// batch summary without their wall-clock seconds, the fault tally and the
+/// FAILED diagnostics.
+std::vector<std::string> summaryLines(const std::string& log) {
+  static const std::regex kWall(" in [0-9.]+ s wall");
+  static const std::regex kSecColumn(" +[0-9.]+ *$");
+  std::ifstream in(log);
+  EXPECT_TRUE(in.is_open()) << log;
+  std::vector<std::string> lines;
+  bool inTable = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("kernel ", 0) == 0) {
+      inTable = true;
+    } else if (line.empty()) {
+      inTable = false;
+    } else if (inTable) {
+      lines.push_back(std::regex_replace(line, kSecColumn, ""));
+    } else if (line.find(" kernels (") != std::string::npos) {
+      lines.push_back(std::regex_replace(line, kWall, ""));
+    } else if (line.rfind("evaluation failures", 0) == 0 ||
+               line.rfind("FAILED ", 0) == 0) {
+      lines.push_back(line);
+    }
+  }
   return lines;
 }
 
@@ -95,13 +123,20 @@ class Determinism : public ::testing::Test {
 
   /// Runs `ifko <args>` to completion; true on exit 0.
   bool run(const std::vector<std::string>& args) {
-    const pid_t pid = spawnIfko(args, path("ifko.log"));
-    if (pid < 0) return false;
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid) return false;
-    const bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    const bool ok = exitCode(args, path("ifko.log")) == 0;
     if (!ok) ADD_FAILURE() << "ifko failed; log:\n" << slurp(path("ifko.log"));
     return ok;
+  }
+
+  /// Runs `ifko <args>` to completion with its output in `log`; the exit
+  /// status, or -1 when it did not exit normally.
+  static int exitCode(const std::vector<std::string>& args,
+                      const std::string& log) {
+    const pid_t pid = spawnIfko(args, log);
+    if (pid < 0) return -1;
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid) return -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
 
   /// The bar for every leg: byte-identical wisdom, the same cache records.
@@ -132,6 +167,30 @@ TEST_F(Determinism, WarmRerunMatchesCold) {
   expectMatchesReference(path("warm.wis.jsonl"), path("ref.cache.jsonl"));
   EXPECT_NE(slurp(path("ifko.log")).find("cache 100.0% hits"),
             std::string::npos);
+}
+
+TEST_F(Determinism, FaultPlanInjectsTheSameFaultsAtJobs1And4) {
+  // Some kernels end quarantined, so the run exits 1; which candidate gets
+  // which fault must not depend on which worker starts first.
+  std::vector<std::vector<std::string>> summaries;
+  for (const char* jobs : {"1", "4"}) {
+    const std::string tag = std::string("faulted.j") + jobs;
+    const std::vector<std::string> args = {
+        "tune-all",
+        IFKO_KERNELS_HIL_DIR,
+        "--fast",
+        "--n=1024",
+        std::string("--jobs=") + jobs,
+        "--eval-timeout-ms=50",
+        "--fault-plan=crash%7:seed=5,hang%11:seed=9",
+        "--wisdom=" + path(tag + ".wis.jsonl")};
+    EXPECT_EQ(exitCode(args, path(tag + ".log")), 1) << slurp(path(tag + ".log"));
+    summaries.push_back(summaryLines(path(tag + ".log")));
+  }
+  EXPECT_EQ(slurp(path("faulted.j4.wis.jsonl")),
+            slurp(path("faulted.j1.wis.jsonl")));
+  ASSERT_GT(summaries[0].size(), 24u);
+  EXPECT_EQ(summaries[1], summaries[0]);
 }
 
 TEST_F(Determinism, KillNineThenPlainRerunMatchesUninterrupted) {

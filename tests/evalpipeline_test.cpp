@@ -36,7 +36,7 @@ search::SearchConfig testConfig(bool predecode, sim::TimeContext ctx) {
 }
 
 /// Winner invariance: all 14 registry kernels, both timing contexts,
-/// candidates decoded in the compile memo or inside the timed call — the
+/// candidates decoded when compiled or inside the timed call — the
 /// tuned parameters and their cycle counts never change.
 TEST(EvalPipelineInvariance, WinnersIdenticalAcrossAllModes) {
   const auto machine = arch::p4e();
@@ -266,7 +266,7 @@ TEST(EvalPipelineTester, ConcurrentVerdictsShareOneReference) {
     auto broken = brokenCandidate(p, defaults);
     ASSERT_NE(broken, nullptr);
 
-    // All threads walk the same compile-memo bases in the same order, each
+    // All threads walk the same prefix-memo bases in the same order, each
     // at its own prefetch distance, so prefix patches of a base race with
     // the first tester run on it.
     constexpr int kThreads = 8;

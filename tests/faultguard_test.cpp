@@ -192,6 +192,7 @@ struct GuardFixture : ::testing::Test {
   EvalRequest request(FaultInjector* injector = nullptr) {
     EvalRequest req = pipeline.request({});
     req.injector = injector;
+    if (injector != nullptr) req.faultIndex = injector->nextIndex();
     return req;
   }
 

@@ -2,6 +2,8 @@
 // generic operand harness, differential testing, and source-level tuning.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/loopinfo.h"
 #include "arch/machine.h"
 #include "fko/compiler.h"
@@ -166,6 +168,11 @@ TEST(DiffTester, CatchesABrokenKernel) {
   ASSERT_TRUE(r.ok);
   auto diff = fko::testAgainstUnoptimized(scal.hilSource(), r.fn, 64);
   EXPECT_FALSE(diff.ok);
+  // The one comparison rule every tester shares: a NaN or infinite result
+  // never matches a finite expectation.
+  EXPECT_FALSE(kernels::withinTolerance(NAN, 1.0, ir::Scal::F64));
+  EXPECT_FALSE(kernels::withinTolerance(INFINITY, 1.0, ir::Scal::F32));
+  EXPECT_TRUE(kernels::withinTolerance(1.0 + 1e-12, 1.0, ir::Scal::F64));
 }
 
 TEST(GenericTimer, MatchesKernelTimerBehaviour) {

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "arch/machine.h"
@@ -102,6 +103,71 @@ TEST(Orchestrator, CacheRoundTripSecondRunAllHits) {
   EXPECT_EQ(cold.bestCycles, warm.bestCycles);
   EXPECT_EQ(cold.ledger, warm.ledger);
   std::remove(cachePath.c_str());
+}
+
+/// The endpoints' counters come from the search's own outcomes: cold, they
+/// equal a fresh evaluation of each endpoint and the cache's record of it;
+/// a warm rerun from the same cache file replays the same values without
+/// evaluating anything.
+TEST(Orchestrator, EndpointCountersMatchFreshEvaluationAndCache) {
+  KernelSpec ddot{BlasOp::Dot, ir::Scal::F64};
+  std::ifstream in(std::string(IFKO_KERNELS_HIL_DIR) + "/dgemv.hil");
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream gemv;
+  gemv << in.rdbuf();
+  const KernelJob jobs[] = {jobFor(ddot), {"dgemv", gemv.str(), nullptr}};
+  const arch::MachineConfig machine = arch::p4e();
+
+  for (const KernelJob& job : jobs) {
+    SCOPED_TRACE(job.name);
+    const std::string cachePath =
+        tmpFile(("orch_endpoints_" + job.name + ".cache.jsonl").c_str());
+    std::remove(cachePath.c_str());
+    OrchestratorConfig oc;
+    oc.search = smokeConfig(2);
+    oc.search.context = sim::TimeContext::InL2;
+    oc.cachePath = cachePath;
+
+    TuneResult cold;
+    {
+      Orchestrator orch(machine, oc);
+      cold = orch.tune(job).result;
+      ASSERT_TRUE(cold.ok) << cold.error;
+      ASSERT_TRUE(cold.defaultCounters.has_value());
+      ASSERT_TRUE(cold.bestCounters.has_value());
+
+      EvalPipeline fresh(job.hilSource, job.spec, machine, oc.search);
+      const EvalOutcome def = evaluateCandidate(fresh.request(cold.defaults));
+      const EvalOutcome best = evaluateCandidate(fresh.request(cold.best));
+      EXPECT_EQ(def.cycles, cold.defaultCycles);
+      EXPECT_EQ(best.cycles, cold.bestCycles);
+      EXPECT_EQ(def.counters, cold.defaultCounters);
+      EXPECT_EQ(best.counters, cold.bestCounters);
+
+      EvalKey key{hashHex(job.hilSource),
+                  machine.name,
+                  std::string(sim::contextName(oc.search.context)),
+                  oc.search.n,
+                  oc.search.seed,
+                  oc.search.testerN,
+                  opt::formatTuningSpec(cold.defaults)};
+      const std::optional<EvalRecord> defRec = orch.cache().lookup(key);
+      key.params = opt::formatTuningSpec(cold.best);
+      const std::optional<EvalRecord> bestRec = orch.cache().lookup(key);
+      ASSERT_TRUE(defRec.has_value() && bestRec.has_value());
+      EXPECT_EQ(defRec->counters, cold.defaultCounters);
+      EXPECT_EQ(bestRec->counters, cold.bestCounters);
+    }
+
+    Orchestrator orch(machine, oc);
+    const KernelOutcome warm = orch.tune(job);
+    ASSERT_TRUE(warm.result.ok) << warm.result.error;
+    EXPECT_EQ(warm.evaluationsRun, 0);
+    EXPECT_EQ(warm.result.best, cold.best);
+    EXPECT_EQ(warm.result.defaultCounters, cold.defaultCounters);
+    EXPECT_EQ(warm.result.bestCounters, cold.bestCounters);
+    std::remove(cachePath.c_str());
+  }
 }
 
 TEST(Orchestrator, TraceIsWellFormedJsonl) {
